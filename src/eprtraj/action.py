@@ -4,6 +4,14 @@ The reduced action is ``hbar`` times the arctangent phase of the molecule
 wave function.  Its principal branch lives in ``(-pi*hbar/2, pi*hbar/2]``
 (the tangent branch); the unwrapped version continues it across branch
 points so it is monotone in ``x`` whenever ``alpha != 1``.
+
+Both the unwrapped action and the effective quantum mass are closed forms.
+The wave function is ``exp(ikx) (1 + alpha exp(-i th))`` with ``th = 2kx +
+beta``, or ``alpha exp(-i(kx + beta)) (1 + exp(i th) / alpha)``; the factor in
+brackets stays in the right half-plane for ``alpha < 1`` (respectively
+``alpha > 1``), so its two-argument arctangent is already continuous.  The
+mass ``m_q = M (1 - dQ/dE) = M (D - x D') / D^3`` follows from ``Q = E (1 -
+1/D^2)`` with ``k`` proportional to ``sqrt(E)``.
 """
 
 from __future__ import annotations
@@ -11,17 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import PrecisionError
-from .model import ModelParams, wavenumber_from_energy
-from .wavefunction import _amplitude_squared, _phase_parts, checked_amplitude_squared
-
-# One Riemann sheet of the underlying tangent spans pi (times hbar in action
-# units); marching steps are capped so each true increment stays under a
-# quarter sheet, which makes re-folding the increments exact.
-_SHEET = math.pi
-_MAX_MARCH_STEPS = 20_000_000
+from .model import ModelParams
+from .wavefunction import _phase_parts, checked_amplitude_squared
 
 
 @dataclass(frozen=True)
@@ -54,41 +53,36 @@ def reduced_action_principal(x: float, params: ModelParams) -> float:
     return params.hbar * _fold_half_period(math.atan2(num, den))
 
 
+def _continuous_phase(x: float, params: ModelParams) -> float:
+    k, alpha, beta = params.k, params.alpha, params.beta
+    th = 2.0 * k * x + beta
+    if alpha < 1.0:
+        return k * x - math.atan2(alpha * math.sin(th), 1.0 + alpha * math.cos(th))
+    return -(k * x + beta) + math.atan2(math.sin(th), alpha + math.cos(th))
+
+
 def reduced_action_unwrapped(x: float, params: ModelParams) -> float:
     """Continuous branch of the reduced action, anchored at ``x = 0``.
 
-    Marches from the origin in steps small enough that every true increment
-    is below a quarter sheet, then folds each principal-value difference back
-    onto the continuous branch.  Strictly increasing in ``x`` for
-    ``alpha < 1`` (strictly decreasing for ``alpha > 1``).
+    Equals the principal value at the origin plus ``hbar`` times the growth
+    of the continuous phase (see the module docstring) from 0 to ``x``.
+    Strictly increasing in ``x`` for ``alpha < 1`` (strictly decreasing for
+    ``alpha > 1``).
 
     For ``alpha == 1`` the phase is piecewise constant (standing wave) and has
     no continuous monotone branch; the anchored constant is returned.
     """
-    if x == 0.0 or params.alpha == 1.0:
-        return reduced_action_principal(0.0, params)
-    k, alpha, beta = params.k, params.alpha, params.beta
-    step_cap = math.pi * abs(1.0 - alpha) / (8.0 * k * (1.0 + alpha))
-    n = int(math.ceil(abs(x) / step_cap)) + 1
-    if n > _MAX_MARCH_STEPS:
-        raise PrecisionError(
-            f"unwrapping from 0 to x={x} needs {n} steps at alpha={alpha}; "
-            "too close to the standing-wave limit")
-    xs = np.linspace(0.0, x, n + 1)
-    num = np.sin(k * xs) - alpha * np.sin(k * xs + beta)
-    den = np.cos(k * xs) + alpha * np.cos(k * xs + beta)
-    ph = np.arctan2(num, den)
-    ph -= _SHEET * np.ceil(ph / _SHEET - 0.5)
-    dph = np.diff(ph)
-    dph -= _SHEET * np.round(dph / _SHEET)
-    return params.hbar * (float(ph[0]) + float(dph.sum()))
+    w0 = reduced_action_principal(0.0, params)
+    if params.alpha == 1.0:
+        return w0
+    return w0 + params.hbar * (_continuous_phase(x, params) - _continuous_phase(0.0, params))
 
 
 def action_sample(x: float, params: ModelParams) -> ActionSample:
     """Principal value, unwrapped value and integer sheet index at ``x``."""
     w_p = reduced_action_principal(x, params)
     w_u = reduced_action_unwrapped(x, params)
-    sheet = round((w_u - w_p) / (_SHEET * params.hbar))
+    sheet = round((w_u - w_p) / (math.pi * params.hbar))
     return ActionSample(x=x, w_principal=w_p, w_unwrapped=w_u, sheet=sheet)
 
 
@@ -111,35 +105,18 @@ def quantum_potential(x: float, params: ModelParams) -> float:
     return params.E * (1.0 - 1.0 / (d * d))
 
 
-def _q_at_energy(x: float, energy: float, params: ModelParams) -> float:
-    # re-derive k from the perturbed energy at fixed (x, alpha, beta, m, hbar)
-    k = wavenumber_from_energy(energy, params)
-    d = _amplitude_squared(x, k, params.alpha, params.beta)
-    return energy * (1.0 - 1.0 / (d * d))
+def effective_quantum_mass(x: float, params: ModelParams) -> QuantumMassSample:
+    """Effective quantum mass ``m_q = M (1 - dQ/dE) = M (D - x D') / D^3``.
 
-
-def effective_quantum_mass(x: float, params: ModelParams,
-                           step: float = 1e-6) -> QuantumMassSample:
-    """Effective quantum mass ``m_q = M (1 - dQ/dE)``.
-
-    ``dQ/dE`` is a second-order central difference in the energy with
-    relative step ``step``; each perturbed energy re-derives its wavenumber
-    through ``k = sqrt(2 M E) / hbar``.  The composite mass ``M`` multiplies
-    the bracket.
+    ``D' = -4 alpha k sin(2kx + beta)`` is the slope of the squared
+    amplitude; ``dQ/dE`` is taken at fixed ``(x, alpha, beta, m, hbar)`` with
+    ``k = sqrt(2 M E) / hbar``.  The composite mass ``M`` multiplies the
+    bracket.
 
     Raises:
-        ValueError: if ``step`` is not a positive finite number.
-        PrecisionError: if ``step`` is too small to perturb ``E`` in floats.
         SingularityError: on a standing-wave node.
     """
-    if not math.isfinite(step) or step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    d0 = checked_amplitude_squared(x, params)
-    e0 = params.E
-    h = step * e0
-    e_hi, e_lo = e0 + h, e0 - h
-    if e_hi == e0 or e_lo == e0:
-        raise PrecisionError(f"relative energy step {step} underflows at E={e0}")
-    dqde = (_q_at_energy(x, e_hi, params) - _q_at_energy(x, e_lo, params)) / (e_hi - e_lo)
-    return QuantumMassSample(x=x, q=params.E * (1.0 - 1.0 / (d0 * d0)),
-                             m_q=params.M * (1.0 - dqde))
+    d = checked_amplitude_squared(x, params)
+    d_prime = -4.0 * params.alpha * params.k * math.sin(2.0 * params.k * x + params.beta)
+    return QuantumMassSample(x=x, q=params.E * (1.0 - 1.0 / (d * d)),
+                             m_q=params.M * (d - x * d_prime) / (d * d * d))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import effective_quantum_mass
-from .entanglon import _check_alphas, decompose_time, is_trigger_point
-from .model import ModelParams, validate_params
+from .entanglon import _check_alphas, _divergence_ratio, decompose_time, is_trigger_point
+from .model import ModelParams
 from .trajectory import (
     FORWARD,
     RETROGRADE,
@@ -130,10 +130,9 @@ def build_sweep_dataset(params: ModelParams, betas, x_min: float, x_max: float,
     xs = _sample_grid(x_min, x_max, samples)
     curves = []
     for beta in beta_list:
-        p = validate_params(params.hbar, params.m, params.alpha, beta, params.k,
-                            params.tau)
+        ts = _time_array(xs, params.replace(beta=beta))
         curves.append(SweepCurve(beta=beta, xs=[float(v) for v in xs],
-                                 ts=[float(v) for v in _time_array(xs, p)]))
+                                 ts=[float(v) for v in ts]))
     wedge = []
     for x in xs:
         wb = wedge_bounds(float(x), params) if x >= 0.0 else None
@@ -197,13 +196,10 @@ def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
     _check_alphas(alphas, side, "limit")
     rows = []
     for a in alphas:
-        p = validate_params(params.hbar, params.m, a, params.beta, params.k,
-                            params.tau)
+        p = params.replace(alpha=a)
         t = time_of_position(x, p)
         m_q = effective_quantum_mass(x, p).m_q
-        ratio = None
-        if is_trigger_point(x, p) and x != 0.0:
-            ratio = t * p.hbar * p.k * (1.0 - a) / (2.0 * p.m * x)
+        ratio = _divergence_ratio(t, x, p) if is_trigger_point(x, p) and x != 0.0 else None
         rows.append((a, x, t, m_q, ratio))
     return rows
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .action import effective_quantum_mass
-from .model import LimitSeries, ModelParams, validate_params
+from .model import LimitSeries, ModelParams
 from .trajectory import time_of_position
 from .wavefunction import checked_amplitude_squared
 
@@ -70,9 +70,9 @@ def _check_alphas(alphas, side: str, context: str) -> None:
             f"{context}: alphas must approach 1 strictly monotonically from {side}")
 
 
-def _with_alpha(params: ModelParams, alpha: float) -> ModelParams:
-    return validate_params(params.hbar, params.m, alpha, params.beta, params.k,
-                           params.tau)
+def _divergence_ratio(t: float, x: float, params: ModelParams) -> float:
+    # t over the trigger-point divergence scale 2mx / (hbar k (1 - alpha))
+    return t * params.hbar * params.k * (1.0 - params.alpha) / (2.0 * params.m * x)
 
 
 def entanglon_divergence(x: float, params: ModelParams, alpha_sequence) -> LimitSeries:
@@ -92,9 +92,8 @@ def entanglon_divergence(x: float, params: ModelParams, alpha_sequence) -> Limit
     _check_alphas(alphas, "below", "entanglon_divergence")
     entries = []
     for a in alphas:
-        t = time_of_position(x, _with_alpha(params, a))
-        ratio = t * params.hbar * params.k * (1.0 - a) / (2.0 * params.m * x)
-        entries.append((a, ratio))
+        p = params.replace(alpha=a)
+        entries.append((a, _divergence_ratio(time_of_position(x, p), x, p)))
     return LimitSeries(tuple(entries), "below", "entanglon_time_ratio")
 
 
@@ -115,7 +114,7 @@ def epr_limit_time(x: float, params: ModelParams, alpha_sequence,
         raise ValueError(f"side='above' pairs with x < 0, got x={x}")
     alphas = list(alpha_sequence)
     _check_alphas(alphas, side, "epr_limit_time")
-    entries = tuple((a, time_of_position(x, _with_alpha(params, a))) for a in alphas)
+    entries = tuple((a, time_of_position(x, params.replace(alpha=a))) for a in alphas)
     return LimitSeries(entries, side, "time_of_position")
 
 
@@ -128,5 +127,5 @@ def epr_limit_mass(x: float, params: ModelParams, alpha_sequence) -> LimitSeries
     alphas = list(alpha_sequence)
     _check_alphas(alphas, "below", "epr_limit_mass")
     entries = tuple(
-        (a, effective_quantum_mass(x, _with_alpha(params, a)).m_q) for a in alphas)
+        (a, effective_quantum_mass(x, params.replace(alpha=a)).m_q) for a in alphas)
     return LimitSeries(entries, "below", "effective_quantum_mass")

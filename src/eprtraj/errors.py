@@ -7,7 +7,3 @@ class SingularityError(ArithmeticError):
 
 class InfiniteVelocityError(ArithmeticError):
     """Mechanical momentum requested at a turning point, where dt/dx = 0."""
-
-
-class PrecisionError(ArithmeticError):
-    """A finite-difference step or marching resolution fell below float precision."""

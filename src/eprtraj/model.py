@@ -33,6 +33,13 @@ class ModelParams:
     M: float
     tau: float = 0.0
 
+    def replace(self, **changes) -> "ModelParams":
+        """Copy with some raw inputs changed, re-derived by :func:`validate_params`."""
+        raw = dict(hbar=self.hbar, m=self.m, alpha=self.alpha, beta=self.beta,
+                   k=self.k, tau=self.tau)
+        raw.update(changes)
+        return validate_params(**raw)
+
 
 @dataclass(frozen=True)
 class ParticlePositions:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .dataset import build_trajectory_dataset
-from .model import ModelParams, validate_params
+from .model import ModelParams
 
 _WIDTH = 720
 _HEIGHT = 540
@@ -44,11 +44,8 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
     dashes = ["none", "6 5"] if figure_id == 1 else ["none"] * len(betas)
     colors = ["#1f4e9c", "#b23434"] if figure_id == 1 else list(_FIG2_COLORS)
 
-    datasets = []
-    for beta in betas:
-        p = validate_params(params.hbar, params.m, params.alpha, beta, params.k,
-                            params.tau)
-        datasets.append(build_trajectory_dataset(p, x_min, x_max, samples))
+    datasets = [build_trajectory_dataset(params.replace(beta=beta), x_min, x_max, samples)
+                for beta in betas]
 
     t_lo = 0.0
     t_hi = max(r.t for ds in datasets for r in ds.rows) * 1.02

@@ -226,12 +226,15 @@ def positions_at_time(t: float, x_min: float, x_max: float, params: ModelParams,
 
 
 def wedge_bounds(x: float, params: ModelParams) -> WedgeBounds:
-    """Envelope ``(1-a) m x / ((1+a) hbar k) <= t <= (1+a) m x / ((1-a) hbar k)``.
+    """Envelope ``(1-a) m x / ((1+a) hbar k)``, ``(1+a) m x / ((1-a) hbar k)`` of ``t(x)``.
 
-    The lower edge is attained where the two components reinforce
-    (``cos(2kx + beta) = +1``), the upper edge where they interfere
-    destructively (``cos = -1``).  At ``alpha = 1`` the wedge opens up to the
-    whole quadrant: the upper bound is reported as ``inf``.
+    One edge is attained where the two components reinforce (``cos(2kx +
+    beta) = +1``), the other where they interfere destructively (``cos =
+    -1``).  For ``alpha < 1`` the reinforcement edge is the lower one; for
+    ``alpha > 1`` both edges are negative and it is the upper one.  The pair
+    is always ordered so that ``t_lower <= t(x) <= t_upper``.  At ``alpha =
+    1`` the wedge opens up to the whole quadrant: the upper bound is reported
+    as ``inf``.
     """
     if x < 0.0:
         raise ValueError(f"wedge bounds are defined for x >= 0, got {x}")
@@ -239,8 +242,11 @@ def wedge_bounds(x: float, params: ModelParams) -> WedgeBounds:
     scale = params.m * x / (params.hbar * params.k)
     if a == 1.0:
         return WedgeBounds(t_lower=0.0, t_upper=math.inf)
-    return WedgeBounds(t_lower=scale * (1.0 - a) / (1.0 + a),
-                       t_upper=scale * (1.0 + a) / (1.0 - a))
+    reinforced = scale * (1.0 - a) / (1.0 + a)
+    destructive = scale * (1.0 + a) / (1.0 - a)
+    if a > 1.0:
+        return WedgeBounds(t_lower=destructive, t_upper=reinforced)
+    return WedgeBounds(t_lower=reinforced, t_upper=destructive)
 
 
 def pair_events(turning_points: list[TurningPoint]) -> list[TrajectoryEvent]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularityError
-from .model import LimitSeries, ModelParams, validate_params
+from .model import LimitSeries, ModelParams
 
 # Below this squared amplitude the molecule sits on a standing-wave node and
 # momentum/time evaluations overflow; callers get a SingularityError instead.
@@ -28,13 +28,6 @@ class PolarForm:
     amplitude_squared: float
 
 
-def _amplitude_squared(x: float, k: float, alpha: float, beta: float) -> float:
-    # (1-a)^2 + 4a cos^2(kx + b/2) == 1 + a^2 + 2a cos(2kx + b), rewritten so
-    # no cancellation occurs near standing-wave nodes (both terms are >= 0).
-    c = math.cos(k * x + 0.5 * beta)
-    return (1.0 - alpha) * (1.0 - alpha) + 4.0 * alpha * c * c
-
-
 def _phase_parts(x: float, k: float, alpha: float, beta: float) -> tuple[float, float]:
     num = math.sin(k * x) - alpha * math.sin(k * x + beta)
     den = math.cos(k * x) + alpha * math.cos(k * x + beta)
@@ -43,7 +36,11 @@ def _phase_parts(x: float, k: float, alpha: float, beta: float) -> tuple[float, 
 
 def amplitude_squared(x: float, params: ModelParams) -> float:
     """Squared amplitude ``1 + alpha^2 + 2 alpha cos(2kx + beta)``."""
-    return _amplitude_squared(x, params.k, params.alpha, params.beta)
+    # (1-a)^2 + 4a cos^2(kx + b/2) == 1 + a^2 + 2a cos(2kx + b), rewritten so
+    # no cancellation occurs near standing-wave nodes (both terms are >= 0).
+    alpha = params.alpha
+    c = math.cos(params.k * x + 0.5 * params.beta)
+    return (1.0 - alpha) * (1.0 - alpha) + 4.0 * alpha * c * c
 
 
 def checked_amplitude_squared(x: float, params: ModelParams) -> float:
@@ -85,8 +82,5 @@ def epr_limit_wave(x: float, params: ModelParams, alpha_sequence) -> LimitSeries
     if not alphas:
         raise ValueError("alpha_sequence must not be empty")
     side = "above" if alphas[0] > 1.0 else "below"
-    entries = []
-    for a in alphas:
-        p = validate_params(params.hbar, params.m, a, params.beta, params.k, params.tau)
-        entries.append((a, psi_bipolar(x, p)))
-    return LimitSeries(tuple(entries), side, "psi")
+    entries = tuple((a, psi_bipolar(x, params.replace(alpha=a))) for a in alphas)
+    return LimitSeries(entries, side, "psi")

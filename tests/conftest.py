@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import pytest
 
-from eprtraj import reduced_action_unwrapped, validate_params
+from eprtraj import amplitude_squared, reduced_action_unwrapped, validate_params
 
 # Reference parameter set used throughout: hbar = m = 1, k = pi/2,
 # alpha = 0.5, beta = 0, tau = 0.
@@ -51,3 +52,54 @@ def jacobi_time_estimate(x, params, rel=1e-6):
     w_lo = reduced_action_unwrapped(x, p_lo)
     de = params.hbar ** 2 * (k_hi ** 2 - k_lo ** 2) / (2.0 * params.m)
     return params.tau + (w_hi - w_lo) / de
+
+
+def energy_difference_mass(x, params, step=1e-6):
+    """Effective quantum mass M (1 - dQ/dE) by a central difference in E.
+
+    Each perturbed energy re-derives its wavenumber through
+    k = sqrt(2 M E) / hbar, and Q = E (1 - 1/D^2) is evaluated there.
+    Second-order accurate, and poor where D is tiny.
+    """
+    def q_at(energy):
+        p = params.replace(k=math.sqrt(2.0 * params.M * energy) / params.hbar)
+        d = amplitude_squared(x, p)
+        return energy * (1.0 - 1.0 / (d * d))
+
+    e_hi, e_lo = params.E * (1.0 + step), params.E * (1.0 - step)
+    return params.M * (1.0 - (q_at(e_hi) - q_at(e_lo)) / (e_hi - e_lo))
+
+
+def mp_phase(x, params):
+    """Continuous phase of the wave function at 50 digits, from the same floats.
+
+    psi = exp(-i beta/2) [(1 + a) cos s + i (1 - a) sin s] with s = kx + beta/2,
+    so the phase is -beta/2 + atan(r tan s) + sign(r) pi floor(s/pi + 1/2),
+    r = (1 - a)/(1 + a): a route independent of the library's arctangents.
+    """
+    with mpmath.workdps(50):
+        a = mpmath.mpf(params.alpha)
+        s = mpmath.mpf(params.k) * mpmath.mpf(x) + mpmath.mpf(params.beta) / 2
+        r = (1 - a) / (1 + a)
+        sheet = mpmath.floor(s / mpmath.pi + mpmath.mpf(0.5))
+        phase = -mpmath.mpf(params.beta) / 2 + mpmath.atan(r * mpmath.tan(s)) \
+            + mpmath.sign(r) * mpmath.pi * sheet
+        return +phase
+
+
+def mp_effective_mass(x, params):
+    """M (1 - dQ/dE) at 50 digits, differentiating Q(E) numerically in mpmath.
+
+    Q(E) = E (1 - 1/D^2) with k = k0 sqrt(E/E0), the energy relation at
+    fixed M and hbar, pinned so that k(E0) is exactly the float k0.
+    """
+    with mpmath.workdps(50):
+        a, b, xm = (mpmath.mpf(v) for v in (params.alpha, params.beta, x))
+        k0, e0 = mpmath.mpf(params.k), mpmath.mpf(params.E)
+
+        def q(energy):
+            k = k0 * mpmath.sqrt(energy / e0)
+            d = 1 + a * a + 2 * a * mpmath.cos(2 * k * xm + b)
+            return energy * (1 - 1 / (d * d))
+
+        return float(mpmath.mpf(params.M) * (1 - mpmath.diff(q, e0)))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eprtraj import (
-    PrecisionError,
     SingularityError,
     action_sample,
     amplitude_squared,
@@ -15,7 +14,14 @@ from eprtraj import (
     reduced_action_unwrapped,
 )
 
-from conftest import five_point_derivative, five_point_second, make_params
+from conftest import (
+    energy_difference_mass,
+    five_point_derivative,
+    five_point_second,
+    make_params,
+    mp_effective_mass,
+    mp_phase,
+)
 
 
 def test_principal_examples(ref_params):
@@ -185,18 +191,42 @@ def test_effective_mass_divergence_trend():
     assert values[0] == pytest.approx(1.81e4, rel=1e-3)
 
 
-def test_effective_mass_richardson_convergence():
-    # second-order stencil: halving the step divides the change by ~4
-    p = make_params()
-    m_a = effective_quantum_mass(0.7, p, step=4e-3).m_q
-    m_b = effective_quantum_mass(0.7, p, step=2e-3).m_q
-    m_c = effective_quantum_mass(0.7, p, step=1e-3).m_q
-    ratio = (m_a - m_b) / (m_b - m_c)
-    assert 3.5 < ratio < 4.5
+@pytest.mark.parametrize("alpha", [0.5, 0.999, 0.9999, 1.0 - 1e-9, 1.5, 3.0])
+def test_unwrapped_matches_mpmath_phase(alpha):
+    # 1 - 1e-9 is far beyond what marching from the origin could reach.
+    # Rounding th = 2kx + beta costs a few ulps of th times the phase slope
+    # (1 - a^2) / (2D), which near a trigger point grows like 1/|1 - a|: the
+    # phase itself is that ill-conditioned there (beta = pi puts x = +-100 on
+    # trigger points), so the allowance scales with it.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(29)
+    for beta in (0.0, 0.7, math.pi, -2.0):
+        p = make_params(alpha=alpha, beta=beta)
+        for x in [-100.0, 100.0, *rng.uniform(-100.0, 100.0, 40)]:
+            want = p.hbar * float(mp_phase(x, p) - mp_phase(0.0, p))
+            got = reduced_action_unwrapped(x, p) - reduced_action_unwrapped(0.0, p)
+            slope = abs(1.0 - alpha ** 2) / (2.0 * amplitude_squared(x, p))
+            rounding = 4.0 * eps * (abs(2.0 * p.k * x) + abs(p.beta)) * slope
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)) + p.hbar * rounding
 
 
-def test_effective_mass_step_errors(ref_params):
-    with pytest.raises(ValueError, match="step"):
-        effective_quantum_mass(0.5, ref_params, step=0.0)
-    with pytest.raises(PrecisionError, match="step"):
-        effective_quantum_mass(0.5, ref_params, step=1e-30)
+def test_effective_mass_matches_energy_difference():
+    # away from nodes the central difference in E agrees to its own accuracy
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        p = make_params(alpha=rng.uniform(0.1, 0.9), beta=rng.uniform(-3, 3))
+        x = rng.uniform(-3, 3)
+        assert effective_quantum_mass(x, p).m_q == pytest.approx(
+            energy_difference_mass(x, p), rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha, beta, k, x", [
+    # trigger point cos(2kx + beta) = -1, where D = (1 - alpha)^2 = 1e-12
+    (0.999999, 0.0, math.pi / 2, 1.0),
+    # 1.6e-4 of a period from a trigger point
+    (0.9999, -0.2651378645114635, 1.6865477920459522, 2.873003262124323),
+])
+def test_effective_mass_matches_mpmath_near_trigger(alpha, beta, k, x):
+    p = make_params(alpha=alpha, beta=beta, k=k)
+    assert effective_quantum_mass(x, p).m_q == pytest.approx(
+        mp_effective_mass(x, p), rel=1e-9)

@@ -1,0 +1,80 @@
+"""Golden CLI outputs: every case must reproduce its stored file byte for byte.
+
+Each ``tests/golden/<name>`` file is the output of ``eprtraj <argv> --out
+<name>`` written before the effective quantum mass became a closed form.  The
+one exception to byte equality is the ``m_q`` cells of the ``limit`` cases:
+the stored ones came from a central difference in the energy, so the current
+values are compared with a 50-digit mpmath reference instead.
+"""
+
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from eprtraj.cli import main
+
+from conftest import make_params, mp_effective_mass
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_BETAS = "0,0.7853981633974483,1.5707963267948966"
+_ALPHAS = "0.9,0.99,0.999"
+
+CASES = {
+    "trajectory.csv": ["trajectory", "--samples", "401"],
+    "trajectory.json": ["trajectory", "--samples", "401", "--format", "json"],
+    "sweep.csv": ["sweep", "--betas", _BETAS, "--samples", "201"],
+    "sweep.json": ["sweep", "--betas", _BETAS, "--samples", "201", "--format", "json"],
+    "figure1.svg": ["figure", "1", "--samples", "401"],
+    "figure2.svg": ["figure", "2", "--markers", "--samples", "401"],
+    "decompose.csv": ["decompose", "--xmax", "3", "--samples", "301"],
+    "decompose.json": ["decompose", "--xmax", "3", "--samples", "301", "--format", "json"],
+    "limit_below.csv": ["limit", "--side", "below", "--alphas", _ALPHAS, "--x", "1"],
+    "limit_below.json": ["limit", "--side", "below", "--alphas", _ALPHAS, "--x", "1",
+                         "--format", "json"],
+    "limit_above.csv": ["limit", "--side", "above", "--alphas", "1.1,1.01,1.001",
+                        "--x", "1"],
+    "invert.csv": ["invert", "--t", "1.0", "--xmin", "0", "--xmax", "3"],
+    "invert.json": ["invert", "--t", "1.0", "--xmin", "0", "--xmax", "3",
+                    "--format", "json"],
+    "params.json": ["params"],
+}
+
+_JSON_MQ = re.compile(r'("m_q": )([^,\n]+)')
+
+
+def _split_mass(name: str, text: str):
+    """Text with every m_q cell blanked, and the (alpha, m_q) pairs taken out."""
+    if name.endswith(".json"):
+        masses = [float(v) for _, v in _JSON_MQ.findall(text)]
+        alphas = [row["alpha"] for row in json.loads(text)["rows"]]
+        return _JSON_MQ.sub(r"\1_", text), list(zip(alphas, masses))
+    lines = text.splitlines(keepends=True)
+    col = lines[0].rstrip("\n").split(",").index("m_q")
+    pairs, kept = [], [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        pairs.append((float(cells[0]), float(cells[col])))
+        cells[col] = "_"
+        kept.append(",".join(cells))
+    return "".join(kept), pairs
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    out = tmp_path / name
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    got, want = out.read_text(), (GOLDEN / name).read_text()
+    if not name.startswith("limit"):
+        assert got == want
+        return
+    got_text, got_mass = _split_mass(name, got)
+    want_text, _ = _split_mass(name, want)
+    assert got_text == want_text
+    x = float(CASES[name][CASES[name].index("--x") + 1])
+    for alpha, m_q in got_mass:
+        ref = mp_effective_mass(x, make_params(alpha=alpha))
+        assert math.isclose(m_q, ref, rel_tol=1e-8), (alpha, m_q, ref)

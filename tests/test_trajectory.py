@@ -187,6 +187,19 @@ def test_wedge_unbounded_at_alpha_one():
     assert math.isinf(wb.t_upper)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_wedge_contains_motion_above_one(alpha):
+    # both edges are negative for alpha > 1; the reinforcement edge is upper
+    for beta in (0.0, 0.9, math.pi):
+        p = make_params(alpha=alpha, beta=beta)
+        for x in np.linspace(0.0, 6.0, 241):
+            wb = wedge_bounds(float(x), p)
+            t = time_of_position(float(x), p)
+            assert wb.t_lower - 1e-12 <= t <= wb.t_upper + 1e-12
+    p = make_params(alpha=1.5)
+    assert wedge_bounds(2.0, p).t_upper == pytest.approx(time_of_position(2.0, p), rel=1e-12)
+
+
 def test_wedge_negative_x_rejected(ref_params):
     with pytest.raises(ValueError, match="x >= 0"):
         wedge_bounds(-1.0, ref_params)
