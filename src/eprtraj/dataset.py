@@ -93,17 +93,37 @@ def trajectory_csv(ds: TrajectoryDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ROW_JSON = ('    {{\n      "x": {},\n      "t": {},\n      "dtdx": {},\n'
+             '      "branch_id": {},\n      "direction": "{}"\n    }}')
+_TURNING_JSON = '    {{\n      "x": {},\n      "t": {},\n      "kind": "{}"\n    }}'
+_EVENT_JSON = ('    {{\n      "kind": "{}",\n      "x": {},\n      "t": {},\n'
+               '      "branch_ids": [\n        {},\n        {}\n      ]\n    }}')
+
+
+def _json_num(value: float) -> str:
+    """A float as ``json.dumps`` writes it: its repr, or NaN/Infinity/-Infinity."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _json_list(records) -> str:
+    """A list of pre-rendered records as ``json.dumps(indent=2)`` lays it out at depth 1."""
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+
 def trajectory_json(ds: TrajectoryDataset) -> str:
-    doc = {
-        "params": params_dict(ds.params),
-        "rows": [{"x": r.x, "t": r.t, "dtdx": r.dtdx, "branch_id": r.branch_id,
-                  "direction": r.direction} for r in ds.rows],
-        "turning_points": [{"x": tp.x, "t": tp.t, "kind": tp.kind}
-                           for tp in ds.turning_points],
-        "events": [{"kind": ev.kind, "x": ev.x, "t": ev.t,
-                    "branch_ids": list(ev.branch_ids)} for ev in ds.events],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``, one template per record:
+    the indenting encoder's token list takes many times the memory of the text.
+    """
+    num = _json_num
+    rows = _json_list([_ROW_JSON.format(num(r.x), num(r.t), num(r.dtdx), r.branch_id,
+                                        r.direction) for r in ds.rows])
+    turning = _json_list([_TURNING_JSON.format(num(tp.x), num(tp.t), tp.kind)
+                          for tp in ds.turning_points])
+    events = _json_list([_EVENT_JSON.format(ev.kind, num(ev.x), num(ev.t), *ev.branch_ids)
+                         for ev in ds.events])
+    head = json.dumps({"params": params_dict(ds.params)}, indent=2)[:-2]
+    return (f'{head},\n  "rows": {rows},\n  "turning_points": {turning},\n'
+            f'  "events": {events}\n}}\n')
 
 
 @dataclass(frozen=True)

@@ -1,36 +1,24 @@
-"""Bracketed scalar root refinement."""
+"""Bracketed root refinement, every bracket of a call at once."""
 
 from __future__ import annotations
 
+import math
 
-def bisect_root(f, lo: float, hi: float, xtol: float = 1e-10,
-                max_iter: int = 200) -> float:
-    """Bisect ``f`` on ``[lo, hi]`` down to an interval of width ``xtol``.
+import numpy as np
 
-    ``f(lo)`` and ``f(hi)`` must have opposite signs (an exact zero at either
-    endpoint is returned directly).  Bisection is deliberately preferred over
-    faster solvers: the functions refined here vary steeply near
-    standing-wave nodes and bisection cannot be thrown out of the bracket.
+
+def bisect_root(f, lo, hi, xtol: float = 1e-10) -> np.ndarray:
+    """Midpoints of the brackets ``[lo[i], hi[i]]`` bisected to width ``xtol``.
+
+    ``f`` maps arrays to arrays and has strictly opposite signs at ``lo[i]``
+    and ``hi[i]``.  All brackets are halved together, one ``f`` call per step,
+    as often as the widest needs; bisection never leaves a bracket, however
+    steep ``f`` is near a node.
     """
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        if hi - lo <= xtol:
-            break
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    neg_lo = f(lo) < 0.0
+    for _ in range(math.ceil(math.log2(max(np.max(hi - lo, initial=0.0) / xtol, 1.0)))):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        right = (f(mid) < 0.0) == neg_lo
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
     return 0.5 * (lo + hi)

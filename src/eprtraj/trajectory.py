@@ -7,6 +7,9 @@ can map to several positions.  This module extracts turning points, segments,
 multi-position inversion, the confining wedge, creation/annihilation events,
 and the contrasting single-valued motion obtained by integrating the
 conjugate momentum as if it were the mechanical momentum.
+
+Root sets need no sampling grid: the algebra splits the range into pieces with
+at most one root each, and all brackets of a call are bisected at once.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ ANNIHILATION = "annihilation"
 # |dt/dx| below this is treated as an exact turning point by
 # mechanical_momentum (refined turning points land around 1e-9).
 DTDX_TURNING_EPS = 1e-8
-
-_DEFAULT_GRID_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -151,45 +152,70 @@ def trajectory_point(x: float, params: ModelParams) -> TrajectoryPoint:
                            direction=direction)
 
 
-def _validate_range(x_min: float, x_max: float, grid_step: float) -> None:
+def _validate_range(x_min: float, x_max: float) -> None:
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
-    if not math.isfinite(grid_step) or grid_step <= 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
 
 
-def find_turning_points(x_min: float, x_max: float, params: ModelParams,
-                        grid_step: float = _DEFAULT_GRID_STEP) -> list[TurningPoint]:
-    """All sign changes of dt/dx in ``[x_min, x_max]``, bisected to 1e-10.
+def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
+                  period: float) -> np.ndarray:
+    """Positions inside ``(x_min, x_max)`` where ``2kx + beta = phase (mod period)``."""
+    k, b = params.k, params.beta
+    n = np.arange(math.floor((2.0 * k * x_min + b - phase) / period),
+                  math.ceil((2.0 * k * x_max + b - phase) / period) + 1)
+    xs = (phase + period * n - b) / (2.0 * k)
+    return xs[(xs > x_min) & (xs < x_max)]
 
-    Turning points closer together than ``grid_step`` can be missed; the
-    default 1e-3 resolves the slow sign oscillation of the motion for
-    moderate ``alpha``.
+
+def _bracketed_roots(f, x_min: float, x_max: float, params: ModelParams, cuts):
+    """Edges, ``f`` on them, the edges opening a sign change, and the root in each.
+
+    The edges are the range ends, the ``cuts`` (``f`` is monotone between
+    edges) and the trigger points (``cos(2kx + beta) = -1``): ``D`` is smallest
+    there or at an end, so the edges are where a node raises SingularityError.
     """
-    _validate_range(x_min, x_max, grid_step)
-    n = max(2, int(math.ceil((x_max - x_min) / grid_step)))
-    xs = np.linspace(x_min, x_max, n + 1)
-    f = _dtdx_array(xs, params)
-    found: list[TurningPoint] = []
-    for i in np.flatnonzero(f[:-1] * f[1:] < 0.0):
-        root = bisect_root(lambda v: dtdx(v, params), float(xs[i]), float(xs[i + 1]),
-                           xtol=1e-10)
-        kind = TEMPORAL_MAX if f[i] > 0.0 else TEMPORAL_MIN
-        found.append(TurningPoint(x=root, t=time_of_position(root, params), kind=kind))
-    for i in np.flatnonzero(f == 0.0):
-        if 0 < i < n and f[i - 1] * f[i + 1] < 0.0:
-            kind = TEMPORAL_MAX if f[i - 1] > 0.0 else TEMPORAL_MIN
-            found.append(TurningPoint(x=float(xs[i]),
-                                      t=time_of_position(float(xs[i]), params),
-                                      kind=kind))
-    found.sort(key=lambda tp: tp.x)
-    return found
+    nodes = _phase_points(x_min, x_max, params, math.pi, 2.0 * math.pi)
+    edges = np.sort(np.concatenate([[x_min, x_max], nodes, *cuts]))
+    edges = edges[np.concatenate(([True], np.diff(edges) > 0.0))]  # np.unique loads np.ma
+    _amplitude_squared_array(edges, params)
+    fe = f(edges)
+    i = np.flatnonzero(fe[:-1] * fe[1:] < 0.0)
+    return edges, fe, i, bisect_root(f, edges[i], edges[i + 1], xtol=1e-10)
 
 
-def segment_trajectory(x_min: float, x_max: float, params: ModelParams,
-                       grid_step: float = _DEFAULT_GRID_STEP) -> list[Segment]:
+def find_turning_points(x_min: float, x_max: float,
+                        params: ModelParams) -> list[TurningPoint]:
+    """All sign changes of dt/dx in ``[x_min, x_max]``, refined to 1e-10.
+
+    Complete by construction: ``dt/dx`` has the sign of ``g = c (D - x D')``,
+    and ``g' = -c x D''`` with ``D'' = -8 alpha k^2 cos(2kx + beta)``, so ``g``
+    is monotone between consecutive zeros of the cosine and ``x = 0``: each
+    such piece holds at most one turning point.
+    """
+    _validate_range(x_min, x_max)
+    a, b, k, c = params.alpha, params.beta, params.k, _motion_coefficient(params)
+
+    def g(xs):  # D^2 dt/dx = c (D - x D'); with s = kx + beta/2, -x D' = 8akx sin s cos s
+        s = k * xs + 0.5 * b
+        cs = np.cos(s)
+        return c * ((1.0 - a) ** 2 + cs * (4.0 * a * cs + 8.0 * a * k * xs * np.sin(s)))
+
+    cuts = ([np.clip(0.0, x_min, x_max)],
+            _phase_points(x_min, x_max, params, 0.5 * math.pi, math.pi))
+    edges, ge, i, roots = _bracketed_roots(g, x_min, x_max, params, cuts)
+    # an exact zero on an edge is a turning point when g changes sign across it
+    j = 1 + np.flatnonzero((ge[1:-1] == 0.0) & (ge[:-2] * ge[2:] < 0.0))
+    xs = np.concatenate([roots, edges[j]])
+    order = np.argsort(xs)
+    xs, maxima = xs[order], np.concatenate([ge[i], ge[j - 1]])[order] > 0.0
+    ts = _time_array(xs, params)
+    return [TurningPoint(x=x, t=t, kind=TEMPORAL_MAX if top else TEMPORAL_MIN)
+            for x, t, top in zip(xs.tolist(), ts.tolist(), maxima.tolist())]
+
+
+def segment_trajectory(x_min: float, x_max: float, params: ModelParams) -> list[Segment]:
     """Partition ``[x_min, x_max]`` into alternating forward/retrograde segments."""
-    turning = find_turning_points(x_min, x_max, params, grid_step)
+    turning = find_turning_points(x_min, x_max, params)
     edges = [x_min] + [tp.x for tp in turning] + [x_max]
     segments = []
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
@@ -199,51 +225,56 @@ def segment_trajectory(x_min: float, x_max: float, params: ModelParams,
     return segments
 
 
-def positions_at_time(t: float, x_min: float, x_max: float, params: ModelParams,
-                      grid_step: float = _DEFAULT_GRID_STEP) -> list[float]:
+def positions_at_time(t: float, x_min: float, x_max: float,
+                      params: ModelParams) -> list[float]:
     """All positions the trajectory occupies at time ``t`` within the range.
 
     Two or more roots witness the multi-location (nonlocal) character of the
-    motion.  Roots are bracketed on the grid and bisected to 1e-10; an empty
-    list means the horizontal line at ``t`` misses every branch.
+    motion.  They are the roots of ``h = c x - (t - tau) D``, which has no
+    pole and is monotone between the zeros of ``h' = c + 4 alpha k (t - tau)
+    sin(2kx + beta)``, closed-form positions: each piece holds at most one
+    root.  Roots are refined to 1e-10; an empty list means the horizontal line
+    at ``t`` misses every branch.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    _validate_range(x_min, x_max, grid_step)
-    n = max(2, int(math.ceil((x_max - x_min) / grid_step)))
-    xs = np.linspace(x_min, x_max, n + 1)
-    g = _time_array(xs, params) - t
-    roots = [float(xs[i]) for i in np.flatnonzero(g == 0.0)]
-    for i in np.flatnonzero(g[:-1] * g[1:] < 0.0):
-        roots.append(bisect_root(lambda v: time_of_position(v, params) - t,
-                                 float(xs[i]), float(xs[i + 1]), xtol=1e-10))
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-    return deduped
+    _validate_range(x_min, x_max)
+    a, b, k = params.alpha, params.beta, params.k
+    c, dt = _motion_coefficient(params), t - params.tau
+
+    def h(xs):
+        cs = np.cos(k * xs + 0.5 * b)
+        return c * xs - dt * (1.0 - a) ** 2 - 4.0 * a * dt * cs * cs
+
+    amp = 4.0 * a * k * dt
+    cuts = []
+    if amp != 0.0 and abs(c) <= abs(amp):
+        s = math.asin(-c / amp)
+        cuts = [_phase_points(x_min, x_max, params, p, 2.0 * math.pi)
+                for p in (s, math.pi - s)]
+    edges, he, _, roots = _bracketed_roots(h, x_min, x_max, params, cuts)
+    return np.sort(np.concatenate([roots, edges[he == 0.0]])).tolist()
 
 
 def wedge_bounds(x: float, params: ModelParams) -> WedgeBounds:
-    """Envelope ``(1-a) m x / ((1+a) hbar k)``, ``(1+a) m x / ((1-a) hbar k)`` of ``t(x)``.
+    """Envelope ``tau + (1-a) m x / ((1+a) hbar k)``, ``tau + (1+a) m x / ((1-a) hbar k)``.
 
     One edge is attained where the two components reinforce (``cos(2kx +
     beta) = +1``), the other where they interfere destructively (``cos =
     -1``).  For ``alpha < 1`` the reinforcement edge is the lower one; for
-    ``alpha > 1`` both edges are negative and it is the upper one.  The pair
-    is always ordered so that ``t_lower <= t(x) <= t_upper``.  At ``alpha =
-    1`` the wedge opens up to the whole quadrant: the upper bound is reported
-    as ``inf``.
+    ``alpha > 1`` both edges lie below ``tau`` and it is the upper one.  The
+    pair is always ordered so that ``t_lower <= t(x) <= t_upper``.  At
+    ``alpha = 1`` the wedge opens up to the whole quadrant above ``tau``: the
+    bounds are reported as ``(tau, inf)``.
     """
     if x < 0.0:
         raise ValueError(f"wedge bounds are defined for x >= 0, got {x}")
-    a = params.alpha
+    a, tau = params.alpha, params.tau
     scale = params.m * x / (params.hbar * params.k)
     if a == 1.0:
-        return WedgeBounds(t_lower=0.0, t_upper=math.inf)
-    reinforced = scale * (1.0 - a) / (1.0 + a)
-    destructive = scale * (1.0 + a) / (1.0 - a)
+        return WedgeBounds(t_lower=tau, t_upper=math.inf)
+    reinforced = tau + scale * (1.0 - a) / (1.0 + a)
+    destructive = tau + scale * (1.0 + a) / (1.0 - a)
     if a > 1.0:
         return WedgeBounds(t_lower=destructive, t_upper=reinforced)
     return WedgeBounds(t_lower=reinforced, t_upper=destructive)

@@ -103,3 +103,24 @@ def mp_effective_mass(x, params):
             return energy * (1 - 1 / (d * d))
 
         return float(mpmath.mpf(params.M) * (1 - mpmath.diff(q, e0)))
+
+
+def mp_time(x, params):
+    """t(x) = tau + m x (1 - a^2) / (hbar k D) at 50 digits, bipolar form of D."""
+    with mpmath.workdps(50):
+        a, b, k, xm = (mpmath.mpf(v) for v in (params.alpha, params.beta, params.k, x))
+        d = 1 + a * a + 2 * a * mpmath.cos(2 * k * xm + b)
+        return mpmath.mpf(params.tau) + mpmath.mpf(params.m) * (1 - a * a) * xm \
+            / (mpmath.mpf(params.hbar) * k * d)
+
+
+def mp_root(f, x0):
+    """The root of ``f`` next to the float ``x0``, by the secant method at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.findroot(f, mpmath.mpf(x0))
+
+
+def mp_turning_point(x0, params):
+    """The zero of dt/dx next to ``x0`` (mpmath's own derivative of :func:`mp_time`)."""
+    with mpmath.workdps(50):
+        return mp_root(lambda v: mpmath.diff(lambda y: mp_time(y, params), v), x0)

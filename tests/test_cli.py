@@ -60,6 +60,36 @@ def test_trajectory_json_roundtrip(tmp_path):
         assert tp_doc["x"] == tp.x and tp_doc["t"] == tp.t
 
 
+def _trajectory_doc(ds):
+    """The trajectory JSON document as a dict, for the generic encoder."""
+    from eprtraj.dataset import params_dict
+    return {
+        "params": params_dict(ds.params),
+        "rows": [{"x": r.x, "t": r.t, "dtdx": r.dtdx, "branch_id": r.branch_id,
+                  "direction": r.direction} for r in ds.rows],
+        "turning_points": [{"x": tp.x, "t": tp.t, "kind": tp.kind}
+                           for tp in ds.turning_points],
+        "events": [{"kind": ev.kind, "x": ev.x, "t": ev.t,
+                    "branch_ids": list(ev.branch_ids)} for ev in ds.events],
+    }
+
+
+def test_trajectory_json_matches_generic_encoder():
+    from eprtraj import pair_events, validate_params
+    from eprtraj.dataset import (DatasetRow, TrajectoryDataset, build_trajectory_dataset,
+                                 trajectory_json)
+    from eprtraj.trajectory import TurningPoint
+    p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
+    tps = [TurningPoint(1.0, math.inf, "temporal_max"),
+           TurningPoint(2.0, -math.inf, "temporal_min")]
+    rows = [DatasetRow(0.0, math.nan, -0.0, 0, "turning"),
+            DatasetRow(1e300, 5e-324, math.inf, 7, "forward")]
+    odd = TrajectoryDataset(params=p, rows=rows, turning_points=tps, events=pair_events(tps))
+    for ds in (build_trajectory_dataset(p, 0.0, 4.0, 41),
+               build_trajectory_dataset(p, 0.0, 0.5, 5), odd):
+        assert trajectory_json(ds) == json.dumps(_trajectory_doc(ds), indent=2) + "\n"
+
+
 def test_dataset_branch_ids_match_segments():
     from eprtraj import segment_trajectory, validate_params
     from eprtraj.dataset import build_trajectory_dataset

@@ -1,10 +1,17 @@
 """Golden CLI outputs: every case must reproduce its stored file byte for byte.
 
 Each ``tests/golden/<name>`` file is the output of ``eprtraj <argv> --out
-<name>`` written before the effective quantum mass became a closed form.  The
-one exception to byte equality is the ``m_q`` cells of the ``limit`` cases:
-the stored ones came from a central difference in the energy, so the current
-values are compared with a 50-digit mpmath reference instead.
+<name>`` written before the effective quantum mass became a closed form and
+before the roots were refined on analytic brackets.  Two kinds of cells are
+exempt from byte equality and compared with a 50-digit mpmath reference
+instead:
+
+- the ``m_q`` cells of the ``limit`` cases, which the stored files took from
+  a central difference in the energy (1e-8 relative);
+- the root cells: turning-point and event ``x``/``t`` in ``trajectory.json``
+  and ``positions`` in ``invert.json``.  Any refinement to 1e-10 may move
+  them in the last digits, so ``x`` must lie within 1e-10 of the true root
+  and ``t`` within 1e-12 relative of ``t`` at that root.
 """
 
 import json
@@ -16,7 +23,7 @@ import pytest
 
 from eprtraj.cli import main
 
-from conftest import make_params, mp_effective_mass
+from conftest import make_params, mp_effective_mass, mp_root, mp_time, mp_turning_point
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -43,6 +50,10 @@ CASES = {
     "params.json": ["params"],
 }
 
+# Where the root cells start, and a pattern for each root cell after that.
+_ROOT_CELLS = {"trajectory.json": ('"turning_points": ', re.compile(r'("[xt]": )([^,\n]+)')),
+               "invert.json": ('"positions": ', re.compile(r'(\n +)([-0-9][^,\n]*)'))}
+
 _JSON_MQ = re.compile(r'("m_q": )([^,\n]+)')
 
 
@@ -63,11 +74,33 @@ def _split_mass(name: str, text: str):
     return "".join(kept), pairs
 
 
+def _blank_roots(name: str, text: str) -> str:
+    marker, cell = _ROOT_CELLS[name]
+    head, tail = text.split(marker, 1)
+    return head + marker + cell.sub(r"\1_", tail)
+
+
+def _check_roots(name: str, text: str) -> None:
+    doc, p = json.loads(text), make_params()
+    if name == "invert.json":
+        for x in doc["positions"]:
+            assert abs(x - mp_root(lambda v: mp_time(v, p) - doc["t"], x)) <= 1e-10, x
+        return
+    for cell in doc["turning_points"] + doc["events"]:
+        root = mp_turning_point(cell["x"], p)
+        assert abs(cell["x"] - root) <= 1e-10, cell
+        assert abs(cell["t"] - mp_time(root, p)) <= 1e-12 * abs(mp_time(root, p)), cell
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     out = tmp_path / name
     assert main(CASES[name] + ["--out", str(out)]) == 0
     got, want = out.read_text(), (GOLDEN / name).read_text()
+    if name in _ROOT_CELLS:
+        assert _blank_roots(name, got) == _blank_roots(name, want)
+        _check_roots(name, got)
+        return
     if not name.startswith("limit"):
         assert got == want
         return

@@ -103,8 +103,6 @@ def test_turning_points_free_particle_empty():
 def test_turning_points_range_validation(ref_params):
     with pytest.raises(ValueError, match="x_min < x_max"):
         find_turning_points(2.0, 1.0, ref_params)
-    with pytest.raises(ValueError, match="grid_step"):
-        find_turning_points(0.0, 1.0, ref_params, grid_step=-1.0)
 
 
 def test_segments_reference_range(ref_params):
@@ -198,6 +196,20 @@ def test_wedge_contains_motion_above_one(alpha):
             assert wb.t_lower - 1e-12 <= t <= wb.t_upper + 1e-12
     p = make_params(alpha=1.5)
     assert wedge_bounds(2.0, p).t_upper == pytest.approx(time_of_position(2.0, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_wedge_contains_motion_with_tau(alpha):
+    # the whole motion shifts by tau, and so do both edges
+    for beta in (0.0, 0.9, math.pi):
+        p = make_params(alpha=alpha, beta=beta, tau=1.0)
+        for x in np.linspace(0.0, 6.0, 241):
+            wb = wedge_bounds(float(x), p)
+            t = time_of_position(float(x), p)
+            assert wb.t_lower - 1e-12 <= t <= wb.t_upper + 1e-12
+    apex = wedge_bounds(0.0, make_params(alpha=alpha, tau=1.0))
+    assert (apex.t_lower, apex.t_upper) == (1.0, 1.0)
+    assert wedge_bounds(2.0, make_params(alpha=1.0, tau=1.0)).t_lower == 1.0
 
 
 def test_wedge_negative_x_rejected(ref_params):
