@@ -1,5 +1,7 @@
 """Dataset assembly and CSV/JSON serialization.
 
+Datasets are numpy columns.  Writers repeat one ``%`` template per row and
+fill a chunk of rows per ``%`` operation, with no Python loop over the rows.
 CSV numbers carry 9 significant digits with C-locale formatting; JSON floats
 use Python's shortest round-trip representation, so a re-read reproduces
 every value bit-identically.
@@ -14,22 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import effective_quantum_mass
-from .entanglon import _check_alphas, _divergence_ratio, decompose_time, is_trigger_point
+# decompose_time and wedge_bounds are not called here; perfbench/tracing.py
+# counts their calls through this module, so they stay importable from it.
+from .entanglon import (_check_alphas, _divergence_ratio, _time_parts,  # noqa: F401
+                        decompose_time, is_trigger_point)
 from .model import ModelParams
-from .trajectory import (
-    FORWARD,
-    RETROGRADE,
-    TURNING,
-    TrajectoryEvent,
-    TurningPoint,
-    _dtdx_array,
-    _time_array,
-    find_turning_points,
-    pair_events,
-    positions_at_time,
-    time_of_position,
-    wedge_bounds,
-)
+from .trajectory import (_DIRECTIONS, _EVENT_KINDS, TrajectoryEvent,  # noqa: F401
+                         TurningPoint, _amplitude_squared_array, _direction_index,
+                         _dtdx_array, _time_array, _validate_range, _wedge_edges,
+                         find_turning_points, pair_events, positions_at_time,
+                         time_of_position, wedge_bounds)
+
+_CHUNK_ROWS = 2 ** 15
 
 
 def fmt9(value: float) -> str:
@@ -43,103 +41,130 @@ def params_dict(params: ModelParams) -> dict:
             "tau": params.tau}
 
 
-@dataclass(frozen=True)
-class DatasetRow:
-    x: float
-    t: float
-    dtdx: float
-    branch_id: int
-    direction: str
+def _fill(template: str, *columns) -> str:
+    """``template % row`` for every row of the equal-length ``columns``, joined.
+
+    Each chunk of rows is one ``%`` on the template repeated, its cells taken
+    from an object buffer.  ``"%.9g" % v`` equals :func:`fmt9` of ``v``.
+    """
+    n = len(columns[0])
+    buf = np.empty((min(n, _CHUNK_ROWS), len(columns)), dtype=object)
+    parts = []
+    for lo in range(0, n, _CHUNK_ROWS):
+        m = min(n - lo, _CHUNK_ROWS)
+        for j, column in enumerate(columns):
+            buf[:m, j] = column[lo:lo + m]
+        parts.append((template * m) % tuple(buf[:m].ravel()))
+    return "".join(parts)
 
 
-@dataclass(frozen=True)
+def _json_num(values) -> np.ndarray:
+    """Floats as ``json.dumps`` writes them when filled into ``%s``: Python
+    floats (whose str is their repr), or the strings NaN/Infinity/-Infinity."""
+    values = np.asarray(values, dtype=float)
+    cells = values.astype(object)
+    bad = ~np.isfinite(values)
+    cells[bad] = [json.dumps(v) for v in values[bad].tolist()]
+    return cells
+
+
+def _json_list(record: str, *columns, indent: str = "  ") -> str:
+    """One ``record`` per row, laid out as ``json.dumps(indent=2)`` lays out a
+    list whose closing bracket sits at ``indent``."""
+    if not len(columns[0]):
+        return "[]"
+    return "[\n" + _fill(record + ",\n", *columns)[:-2] + "\n" + indent + "]"
+
+
+def _json_doc(params: ModelParams, **lists: str) -> str:
+    """``json.dumps({"params": ..., **lists}, indent=2) + "\\n"``, lists pre-rendered."""
+    head = json.dumps({"params": params_dict(params)}, indent=2)[:-2]
+    return head + "".join(f',\n  "{key}": {text}' for key, text in lists.items()) + "\n}\n"
+
+
+@dataclass(frozen=True, eq=False)
 class TrajectoryDataset:
-    """Sampled motion with its turning points and paired events."""
+    """Sampled motion as columns, with its turning points."""
 
     params: ModelParams
-    rows: list[DatasetRow]
+    x: np.ndarray
+    t: np.ndarray
+    dtdx: np.ndarray
+    branch_id: np.ndarray
     turning_points: list[TurningPoint]
-    events: list[TrajectoryEvent]
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    @property
+    def direction(self) -> np.ndarray:
+        """forward, retrograde or turning per sample, from the sign of dt/dx."""
+        return np.array(_DIRECTIONS, dtype=object)[_direction_index(self.dtdx)]
+
+    @property
+    def events(self) -> list[TrajectoryEvent]:
+        """The turning points as creation/annihilation events."""
+        return pair_events(self.turning_points)
 
 
 def _sample_grid(x_min: float, x_max: float, samples: int) -> np.ndarray:
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
-        raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+    _validate_range(x_min, x_max)
     return np.linspace(x_min, x_max, samples)
 
 
 def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
                              samples: int) -> TrajectoryDataset:
     xs = _sample_grid(x_min, x_max, samples)
-    ts = _time_array(xs, params)
-    slopes = _dtdx_array(xs, params)
+    ts, slopes = _time_array(xs, params), _dtdx_array(xs, params)
     turning = find_turning_points(x_min, x_max, params)
-    edges = np.array([tp.x for tp in turning])
-    branch = np.searchsorted(edges, xs)
-    rows = []
-    for x, t, s, b in zip(xs, ts, slopes, branch):
-        direction = FORWARD if s > 0.0 else RETROGRADE if s < 0.0 else TURNING
-        rows.append(DatasetRow(float(x), float(t), float(s), int(b), direction))
-    return TrajectoryDataset(params=params, rows=rows, turning_points=turning,
-                             events=pair_events(turning))
+    return TrajectoryDataset(params, xs, ts, slopes, turning_points=turning,
+                             branch_id=np.searchsorted(np.array([tp.x for tp in turning]), xs))
 
 
 def trajectory_csv(ds: TrajectoryDataset) -> str:
-    lines = ["x,t,dtdx,branch_id,direction"]
-    for r in ds.rows:
-        lines.append(f"{fmt9(r.x)},{fmt9(r.t)},{fmt9(r.dtdx)},{r.branch_id},{r.direction}")
-    return "\n".join(lines) + "\n"
+    return "x,t,dtdx,branch_id,direction\n" + _fill(
+        "%.9g,%.9g,%.9g,%d,%s\n", ds.x, ds.t, ds.dtdx, ds.branch_id, ds.direction)
 
 
-_ROW_JSON = ('    {{\n      "x": {},\n      "t": {},\n      "dtdx": {},\n'
-             '      "branch_id": {},\n      "direction": "{}"\n    }}')
-_TURNING_JSON = '    {{\n      "x": {},\n      "t": {},\n      "kind": "{}"\n    }}'
-_EVENT_JSON = ('    {{\n      "kind": "{}",\n      "x": {},\n      "t": {},\n'
-               '      "branch_ids": [\n        {},\n        {}\n      ]\n    }}')
-
-
-def _json_num(value: float) -> str:
-    """A float as ``json.dumps`` writes it: its repr, or NaN/Infinity/-Infinity."""
-    return repr(value) if math.isfinite(value) else json.dumps(value)
-
-
-def _json_list(records) -> str:
-    """A list of pre-rendered records as ``json.dumps(indent=2)`` lays it out at depth 1."""
-    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+_ROW_JSON = ('    {\n      "x": %s,\n      "t": %s,\n      "dtdx": %s,\n'
+             '      "branch_id": %d,\n      "direction": "%s"\n    }')
+_TURNING_JSON = '    {\n      "x": %s,\n      "t": %s,\n      "kind": "%s"\n    }'
+_EVENT_JSON = ('    {\n      "kind": "%s",\n      "x": %s,\n      "t": %s,\n'
+               '      "branch_ids": [\n        %d,\n        %d\n      ]\n    }')
 
 
 def trajectory_json(ds: TrajectoryDataset) -> str:
     """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``, one template per record:
     the indenting encoder's token list takes many times the memory of the text.
+    Event ``i`` sits on turning point ``i`` and joins branches ``i`` and ``i + 1``.
     """
-    num = _json_num
-    rows = _json_list([_ROW_JSON.format(num(r.x), num(r.t), num(r.dtdx), r.branch_id,
-                                        r.direction) for r in ds.rows])
-    turning = _json_list([_TURNING_JSON.format(num(tp.x), num(tp.t), tp.kind)
-                          for tp in ds.turning_points])
-    events = _json_list([_EVENT_JSON.format(ev.kind, num(ev.x), num(ev.t), *ev.branch_ids)
-                         for ev in ds.events])
-    head = json.dumps({"params": params_dict(ds.params)}, indent=2)[:-2]
-    return (f'{head},\n  "rows": {rows},\n  "turning_points": {turning},\n'
-            f'  "events": {events}\n}}\n')
+    tps = ds.turning_points
+    x, t = _json_num([tp.x for tp in tps]), _json_num([tp.t for tp in tps])
+    kinds = [tp.kind for tp in tps]
+    ids = np.arange(len(tps))
+    return _json_doc(
+        ds.params,
+        rows=_json_list(_ROW_JSON, _json_num(ds.x), _json_num(ds.t), _json_num(ds.dtdx),
+                        ds.branch_id, ds.direction),
+        turning_points=_json_list(_TURNING_JSON, x, t, kinds),
+        events=_json_list(_EVENT_JSON, [_EVENT_KINDS[k] for k in kinds], x, t, ids, ids + 1))
 
 
-@dataclass(frozen=True)
-class SweepCurve:
-    beta: float
-    xs: list[float]
-    ts: list[float]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepDataset:
-    """One trajectory per phase shift, plus the shared wedge envelope."""
+    """One trajectory per phase shift on a shared grid, plus the wedge envelope."""
 
     params: ModelParams
-    curves: list[SweepCurve]
-    wedge: list[tuple[float, float, float]]  # (x, t_lower, t_upper)
+    betas: list[float]
+    xs: np.ndarray
+    t: np.ndarray  # (len(betas), len(xs)): row i is the motion for betas[i]
+    t_lower: np.ndarray  # NaN where x < 0
+    t_upper: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
 
 
 def build_sweep_dataset(params: ModelParams, betas, x_min: float, x_max: float,
@@ -148,62 +173,55 @@ def build_sweep_dataset(params: ModelParams, betas, x_min: float, x_max: float,
     if not beta_list:
         raise ValueError("beta list must not be empty")
     xs = _sample_grid(x_min, x_max, samples)
-    curves = []
-    for beta in beta_list:
-        ts = _time_array(xs, params.replace(beta=beta))
-        curves.append(SweepCurve(beta=beta, xs=[float(v) for v in xs],
-                                 ts=[float(v) for v in ts]))
-    wedge = []
-    for x in xs:
-        wb = wedge_bounds(float(x), params) if x >= 0.0 else None
-        if wb is not None:
-            wedge.append((float(x), wb.t_lower, wb.t_upper))
-    return SweepDataset(params=params, curves=curves, wedge=wedge)
+    t = np.array([_time_array(xs, params.replace(beta=beta)) for beta in beta_list])
+    lower, upper = (np.where(xs < 0.0, math.nan, edge) for edge in _wedge_edges(xs, params))
+    return SweepDataset(params, beta_list, xs, t, t_lower=lower, t_upper=upper)
 
 
 def sweep_csv(ds: SweepDataset) -> str:
-    bounds = {x: (lo, hi) for x, lo, hi in ds.wedge}
-    lines = ["beta,x,t,t_lower,t_upper"]
-    for curve in ds.curves:
-        for x, t in zip(curve.xs, curve.ts):
-            lo, hi = bounds.get(x, (math.nan, math.nan))
-            lines.append(f"{fmt9(curve.beta)},{fmt9(x)},{fmt9(t)},{fmt9(lo)},{fmt9(hi)}")
-    return "\n".join(lines) + "\n"
+    n, rep = len(ds.xs), len(ds.betas)
+    return "beta,x,t,t_lower,t_upper\n" + _fill(
+        "%.9g,%.9g,%.9g,%.9g,%.9g\n", np.repeat(ds.betas, n), np.tile(ds.xs, rep),
+        ds.t.ravel(), np.tile(ds.t_lower, rep), np.tile(ds.t_upper, rep))
+
+
+_CURVE_JSON = '    {\n      "beta": %s,\n      "rows": %s\n    }'
+_POINT_JSON = '        {\n          "x": %s,\n          "t": %s\n        }'
+_WEDGE_JSON = '    {\n      "x": %s,\n      "t_lower": %s,\n      "t_upper": %s\n    }'
 
 
 def sweep_json(ds: SweepDataset) -> str:
-    doc = {
-        "params": params_dict(ds.params),
-        "curves": [{"beta": c.beta,
-                    "rows": [{"x": x, "t": t} for x, t in zip(c.xs, c.ts)]}
-                   for c in ds.curves],
-        "wedge": [{"x": x, "t_lower": lo, "t_upper": hi} for x, lo, hi in ds.wedge],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``; the wedge lists x >= 0 only."""
+    x = _json_num(ds.xs)
+    rows = [_json_list(_POINT_JSON, x, _json_num(t), indent="      ") for t in ds.t]
+    keep = ds.xs >= 0.0
+    return _json_doc(
+        ds.params,
+        curves=_json_list(_CURVE_JSON, _json_num(ds.betas), rows),
+        wedge=_json_list(_WEDGE_JSON, x[keep], _json_num(ds.t_lower[keep]),
+                         _json_num(ds.t_upper[keep])))
 
 
 def build_decompose_rows(params: ModelParams, x_min: float, x_max: float,
-                         samples: int) -> list[tuple[float, float, float, float, float]]:
+                         samples: int) -> np.ndarray:
+    """Columns x, c_p1, c_p2, c_ent, total of :func:`decompose_time`, shape (samples, 5)."""
     xs = _sample_grid(x_min, x_max, samples)
-    rows = []
-    for x in xs:
-        d = decompose_time(float(x), params)
-        rows.append((float(x), d.c_p1, d.c_p2, d.c_ent, d.total))
-    return rows
+    d = _amplitude_squared_array(xs, params)
+    cos_th = np.cos(2.0 * params.k * xs + params.beta)
+    return np.column_stack((xs, *_time_parts(xs, params, cos_th, d)))
 
 
-def decompose_csv(rows) -> str:
-    lines = ["x,c_p1,c_p2,c_ent,total"]
-    for row in rows:
-        lines.append(",".join(fmt9(v) for v in row))
-    return "\n".join(lines) + "\n"
+def decompose_csv(rows: np.ndarray) -> str:
+    return "x,c_p1,c_p2,c_ent,total\n" + _fill("%.9g,%.9g,%.9g,%.9g,%.9g\n", *rows.T)
 
 
-def decompose_json(params: ModelParams, rows) -> str:
-    doc = {"params": params_dict(params),
-           "rows": [{"x": x, "c_p1": a, "c_p2": b, "c_ent": c, "total": t}
-                    for x, a, b, c, t in rows]}
-    return json.dumps(doc, indent=2) + "\n"
+_DECOMPOSE_JSON = ('    {\n      "x": %s,\n      "c_p1": %s,\n      "c_p2": %s,\n'
+                   '      "c_ent": %s,\n      "total": %s\n    }')
+
+
+def decompose_json(params: ModelParams, rows: np.ndarray) -> str:
+    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``."""
+    return _json_doc(params, rows=_json_list(_DECOMPOSE_JSON, *_json_num(rows).T))
 
 
 def build_limit_rows(params: ModelParams, x: float, alphas, side: str):

@@ -45,15 +45,20 @@ def decompose_time(x: float, params: ModelParams) -> Decomposition:
     ``cos(2kx + beta) = 0``.  The three sum exactly to the total.
     """
     d = checked_amplitude_squared(x, params)
+    return Decomposition(*_time_parts(
+        x, params, math.cos(2.0 * params.k * x + params.beta), d))
+
+
+def _time_parts(x, params: ModelParams, cos_th, d):
+    """``(c_p1, c_p2, c_ent, total)`` of :func:`decompose_time`, float or array,
+    from ``cos_th = cos(2kx + beta)`` and the squared amplitude ``d``."""
     a = params.alpha
     u = params.m * x / (params.hbar * params.k)
     weight = 1.0 + a * a
     c_p1 = u / weight
     c_p2 = -u * a * a / weight
-    c_ent = -u * 2.0 * a * ((1.0 - a) * (1.0 + a) / weight) \
-        * math.cos(2.0 * params.k * x + params.beta) / d
-    return Decomposition(c_p1=c_p1, c_p2=c_p2, c_ent=c_ent,
-                         total=c_p1 + c_p2 + c_ent)
+    c_ent = -u * 2.0 * a * ((1.0 - a) * (1.0 + a) / weight) * cos_th / d
+    return c_p1, c_p2, c_ent, c_p1 + c_p2 + c_ent
 
 
 def _check_alphas(alphas, side: str, context: str) -> None:

@@ -5,7 +5,8 @@ Figure 2: a sweep of eight phase shifts beta = 0, pi/4, ..., 7pi/4, all
 solid, filling the confining wedge.
 
 Axes follow the motion's natural reading: time runs along the horizontal
-axis, position up the vertical axis, with the launch point at the origin.
+axis, position up the vertical axis.  The time axis spans t = 0 (the launch
+point) and every plotted time, negative ones included.
 Curves are drawn as single x-parameterized polylines, so retrograde segments
 double back leftward.  A ``<desc>`` element records the data-to-pixel
 calibration for downstream consumers.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .dataset import build_trajectory_dataset
+from .dataset import _fill, build_trajectory_dataset
 from .model import ModelParams
 
 _WIDTH = 720
@@ -47,8 +48,8 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
     datasets = [build_trajectory_dataset(params.replace(beta=beta), x_min, x_max, samples)
                 for beta in betas]
 
-    t_lo = 0.0
-    t_hi = max(r.t for ds in datasets for r in ds.rows) * 1.02
+    t_lo = min(0.0, 1.02 * min(float(ds.t.min()) for ds in datasets))
+    t_hi = max(0.0, 1.02 * max(float(ds.t.max()) for ds in datasets))
     if t_hi <= t_lo:
         t_hi = t_lo + 1.0
     px_left = _MARGIN_LEFT
@@ -56,10 +57,10 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
     py_bottom = _HEIGHT - _MARGIN_BOTTOM
     py_top = _MARGIN_TOP
 
-    def to_px(t: float) -> float:
+    def to_px(t):  # float or array
         return px_left + (t - t_lo) / (t_hi - t_lo) * (px_right - px_left)
 
-    def to_py(x: float) -> float:
+    def to_py(x):
         return py_bottom - (x - x_min) / (x_max - x_min) * (py_bottom - py_top)
 
     parts = [
@@ -93,7 +94,7 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
                  'text-anchor="middle">x</text>')
 
     for ds, color, dash in zip(datasets, colors, dashes):
-        pts = " ".join(f"{to_px(r.t):.3f},{to_py(r.x):.3f}" for r in ds.rows)
+        pts = _fill("%.3f,%.3f ", to_px(ds.t), to_py(ds.x))[:-1]
         dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4"'
                      f'{dash_attr} points="{pts}"/>')

@@ -32,6 +32,12 @@ TEMPORAL_MIN = "temporal_min"
 CREATION = "creation"
 ANNIHILATION = "annihilation"
 
+# The event at a turning point of each kind (see TrajectoryEvent).
+_EVENT_KINDS = {TEMPORAL_MIN: CREATION, TEMPORAL_MAX: ANNIHILATION}
+
+# Indexed by _direction_index: 1 forward, -1 retrograde, 0 turning.
+_DIRECTIONS = (TURNING, FORWARD, RETROGRADE)
+
 # |dt/dx| below this is treated as an exact turning point by
 # mechanical_momentum (refined turning points land around 1e-9).
 DTDX_TURNING_EPS = 1e-8
@@ -122,6 +128,11 @@ def _dtdx_array(xs: np.ndarray, params: ModelParams) -> np.ndarray:
     return _motion_coefficient(params) * (d - xs * d_prime) / (d * d)
 
 
+def _direction_index(slope):
+    """Index into ``_DIRECTIONS`` of dt/dx (float or array); NaN is turning."""
+    return 1 * (slope > 0.0) - 1 * (slope < 0.0)
+
+
 def time_of_position(x: float, params: ModelParams) -> float:
     """Time at which the trajectory passes position ``x``.
 
@@ -142,14 +153,8 @@ def dtdx(x: float, params: ModelParams) -> float:
 def trajectory_point(x: float, params: ModelParams) -> TrajectoryPoint:
     """Sample the motion at ``x`` with its direction classification."""
     slope = dtdx(x, params)
-    if slope > 0.0:
-        direction = FORWARD
-    elif slope < 0.0:
-        direction = RETROGRADE
-    else:
-        direction = TURNING
     return TrajectoryPoint(x=x, t=time_of_position(x, params), dtdx=slope,
-                           direction=direction)
+                           direction=_DIRECTIONS[_direction_index(slope)])
 
 
 def _validate_range(x_min: float, x_max: float) -> None:
@@ -220,7 +225,7 @@ def segment_trajectory(x_min: float, x_max: float, params: ModelParams) -> list[
     segments = []
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         mid = 0.5 * (a + b)
-        direction = FORWARD if dtdx(mid, params) > 0.0 else RETROGRADE
+        direction = _DIRECTIONS[_direction_index(dtdx(mid, params))]
         segments.append(Segment(x_start=a, x_end=b, direction=direction, branch_id=i))
     return segments
 
@@ -269,15 +274,18 @@ def wedge_bounds(x: float, params: ModelParams) -> WedgeBounds:
     """
     if x < 0.0:
         raise ValueError(f"wedge bounds are defined for x >= 0, got {x}")
+    return WedgeBounds(*_wedge_edges(x, params))
+
+
+def _wedge_edges(x, params: ModelParams):
+    """``(t_lower, t_upper)`` of :func:`wedge_bounds` for ``x >= 0`` (float or array)."""
     a, tau = params.alpha, params.tau
-    scale = params.m * x / (params.hbar * params.k)
     if a == 1.0:
-        return WedgeBounds(t_lower=tau, t_upper=math.inf)
+        return tau, math.inf
+    scale = params.m * x / (params.hbar * params.k)
     reinforced = tau + scale * (1.0 - a) / (1.0 + a)
     destructive = tau + scale * (1.0 + a) / (1.0 - a)
-    if a > 1.0:
-        return WedgeBounds(t_lower=destructive, t_upper=reinforced)
-    return WedgeBounds(t_lower=reinforced, t_upper=destructive)
+    return (destructive, reinforced) if a > 1.0 else (reinforced, destructive)
 
 
 def pair_events(turning_points: list[TurningPoint]) -> list[TrajectoryEvent]:
@@ -290,11 +298,8 @@ def pair_events(turning_points: list[TurningPoint]) -> list[TrajectoryEvent]:
     for prev, cur in zip(turning_points, turning_points[1:]):
         if cur.x <= prev.x or cur.kind == prev.kind:
             raise ValueError("turning points must be sorted in x with alternating kinds")
-    events = []
-    for i, tp in enumerate(turning_points):
-        kind = CREATION if tp.kind == TEMPORAL_MIN else ANNIHILATION
-        events.append(TrajectoryEvent(kind=kind, x=tp.x, t=tp.t, branch_ids=(i, i + 1)))
-    return events
+    return [TrajectoryEvent(kind=_EVENT_KINDS[tp.kind], x=tp.x, t=tp.t, branch_ids=(i, i + 1))
+            for i, tp in enumerate(turning_points)]
 
 
 def bohmian_time_of_position(x: float, params: ModelParams) -> float:

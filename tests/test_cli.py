@@ -1,8 +1,10 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from eprtraj.cli import main
@@ -54,8 +56,9 @@ def test_trajectory_json_roundtrip(tmp_path):
     from eprtraj.dataset import build_trajectory_dataset
     p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
     ds = build_trajectory_dataset(p, 0.0, 4.0, 100)
-    for row, ref in zip(doc["rows"], ds.rows):
-        assert row["x"] == ref.x and row["t"] == ref.t and row["dtdx"] == ref.dtdx
+    assert len(ds) == 100
+    for row, x, t, s in zip(doc["rows"], ds.x, ds.t, ds.dtdx):
+        assert row["x"] == x and row["t"] == t and row["dtdx"] == s
     for tp_doc, tp in zip(doc["turning_points"], ds.turning_points):
         assert tp_doc["x"] == tp.x and tp_doc["t"] == tp.t
 
@@ -65,8 +68,9 @@ def _trajectory_doc(ds):
     from eprtraj.dataset import params_dict
     return {
         "params": params_dict(ds.params),
-        "rows": [{"x": r.x, "t": r.t, "dtdx": r.dtdx, "branch_id": r.branch_id,
-                  "direction": r.direction} for r in ds.rows],
+        "rows": [{"x": x, "t": t, "dtdx": s, "branch_id": b, "direction": d}
+                 for x, t, s, b, d in zip(ds.x.tolist(), ds.t.tolist(), ds.dtdx.tolist(),
+                                          ds.branch_id.tolist(), ds.direction.tolist())],
         "turning_points": [{"x": tp.x, "t": tp.t, "kind": tp.kind}
                            for tp in ds.turning_points],
         "events": [{"kind": ev.kind, "x": ev.x, "t": ev.t,
@@ -74,20 +78,112 @@ def _trajectory_doc(ds):
     }
 
 
+def _odd_trajectory(p, turning_points):
+    """Columns with non-finite, signed-zero and subnormal cells."""
+    from eprtraj.dataset import TrajectoryDataset
+    return TrajectoryDataset(
+        params=p, x=np.array([0.0, 1e300, -1e-300, 2.0]),
+        t=np.array([math.nan, 5e-324, -math.inf, 1.0]),
+        dtdx=np.array([-0.0, math.inf, math.nan, -2.5]),
+        branch_id=np.array([0, 7, 3, 1]), turning_points=turning_points)
+
+
 def test_trajectory_json_matches_generic_encoder():
-    from eprtraj import pair_events, validate_params
-    from eprtraj.dataset import (DatasetRow, TrajectoryDataset, build_trajectory_dataset,
-                                 trajectory_json)
+    from eprtraj import validate_params
+    from eprtraj.dataset import build_trajectory_dataset, trajectory_json
     from eprtraj.trajectory import TurningPoint
     p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
     tps = [TurningPoint(1.0, math.inf, "temporal_max"),
            TurningPoint(2.0, -math.inf, "temporal_min")]
-    rows = [DatasetRow(0.0, math.nan, -0.0, 0, "turning"),
-            DatasetRow(1e300, 5e-324, math.inf, 7, "forward")]
-    odd = TrajectoryDataset(params=p, rows=rows, turning_points=tps, events=pair_events(tps))
+    odd = _odd_trajectory(p, tps)
+    assert odd.direction.tolist() == ["turning", "forward", "turning", "retrograde"]
+    assert [(ev.kind, ev.branch_ids) for ev in odd.events] == [("annihilation", (0, 1)),
+                                                               ("creation", (1, 2))]
     for ds in (build_trajectory_dataset(p, 0.0, 4.0, 41),
-               build_trajectory_dataset(p, 0.0, 0.5, 5), odd):
+               build_trajectory_dataset(p, 0.0, 0.5, 5), odd, _odd_trajectory(p, [])):
         assert trajectory_json(ds) == json.dumps(_trajectory_doc(ds), indent=2) + "\n"
+
+
+def _sweep_doc(ds):
+    from eprtraj.dataset import params_dict
+    return {
+        "params": params_dict(ds.params),
+        "curves": [{"beta": beta, "rows": [{"x": x, "t": t}
+                                           for x, t in zip(ds.xs.tolist(), ts.tolist())]}
+                   for beta, ts in zip(ds.betas, ds.t)],
+        "wedge": [{"x": x, "t_lower": lo, "t_upper": hi}
+                  for x, lo, hi in zip(ds.xs.tolist(), ds.t_lower.tolist(),
+                                       ds.t_upper.tolist()) if x >= 0.0],
+    }
+
+
+def test_sweep_json_matches_generic_encoder():
+    from eprtraj import validate_params
+    from eprtraj.dataset import SweepDataset, build_sweep_dataset, sweep_json
+    p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
+    odd = SweepDataset(params=p, betas=[math.nan, -0.0], xs=np.array([-1.0, -0.0, 5e-324]),
+                       t=np.array([[math.inf, -math.inf, 1e300], [math.nan, -0.0, 0.1]]),
+                       t_lower=np.array([math.nan, 0.0, -math.inf]),
+                       t_upper=np.array([math.nan, math.inf, math.nan]))
+    cases = [build_sweep_dataset(p, [0.0, 1.0], -2.0, 3.0, 11),  # wedge starts mid-grid
+             build_sweep_dataset(p, [0.5], -3.0, -1.0, 4),  # no wedge at all
+             build_sweep_dataset(p.replace(alpha=1.0), [0.3], 0.5, 1.5, 3),  # t_upper = inf
+             build_sweep_dataset(p.replace(alpha=1.5, tau=1.0), [2.0], -1.0, 2.0, 7), odd]
+    assert np.isnan(cases[0].t_lower[:4]).all() and not np.isnan(cases[0].t_lower[4:]).any()
+    for ds in cases:
+        assert len(ds) == ds.t.size
+        assert sweep_json(ds) == json.dumps(_sweep_doc(ds), indent=2) + "\n"
+
+
+def test_decompose_json_matches_generic_encoder():
+    from eprtraj import validate_params
+    from eprtraj.dataset import build_decompose_rows, decompose_json, params_dict
+    p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
+    odd = np.array([[math.nan, math.inf, -math.inf, -0.0, 5e-324],
+                    [1e300, -1e-300, 0.0, 2.5, math.nan]])
+    for rows in (build_decompose_rows(p, -2.0, 3.0, 21), odd):
+        doc = {"params": params_dict(p),
+               "rows": [dict(zip(("x", "c_p1", "c_p2", "c_ent", "total"), row))
+                        for row in rows.tolist()]}
+        assert decompose_json(p, rows) == json.dumps(doc, indent=2) + "\n"
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300]
+_BULK = 2 ** 15 + 1  # one row past the first chunk
+
+
+@pytest.fixture(scope="module")
+def bulk_cells():
+    """Cells over +-1e+-300, special values among them and on rows at both
+    chunk edges, and their per-row fmt9 reference lines."""
+    rng = np.random.default_rng(7)
+    cells = rng.uniform(-1.0, 1.0, (_BULK, 5)) * 10.0 ** rng.uniform(-300, 300, (_BULK, 5))
+    flat = cells.ravel()
+    flat[rng.choice(flat.size, 200, replace=False)] = rng.choice(_SPECIAL, 200)
+    for row in (0, 1, 2 ** 15 - 2, 2 ** 15 - 1, 2 ** 15):
+        cells[row] = rng.choice(_SPECIAL, 5)
+    ref = [",".join(map(fmt9, row)) + "\n" for row in cells.tolist()]
+    return cells, ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1])
+def test_chunked_csv_matches_per_row_reference(n, bulk_cells):
+    from eprtraj.dataset import decompose_csv
+    cells, ref = bulk_cells
+    assert decompose_csv(cells[:n]) == "x,c_p1,c_p2,c_ent,total\n" + "".join(ref[:n])
+
+
+def test_chunked_csv_mixed_template(bulk_cells):
+    from eprtraj import validate_params
+    from eprtraj.dataset import TrajectoryDataset, trajectory_csv
+    cells, _ = bulk_cells
+    ds = TrajectoryDataset(params=validate_params(1.0, 1.0, 0.5, 0.0, 1.0), x=cells[:, 0],
+                           t=cells[:, 1], dtdx=cells[:, 2],
+                           branch_id=np.arange(_BULK) * 977 % 5003, turning_points=[])
+    ref = "".join(f"{fmt9(x)},{fmt9(t)},{fmt9(s)},{b},{d}\n" for x, t, s, b, d in
+                  zip(ds.x.tolist(), ds.t.tolist(), ds.dtdx.tolist(), ds.branch_id.tolist(),
+                      ds.direction.tolist()))
+    assert trajectory_csv(ds) == "x,t,dtdx,branch_id,direction\n" + ref
 
 
 def test_dataset_branch_ids_match_segments():
@@ -96,11 +192,11 @@ def test_dataset_branch_ids_match_segments():
     p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
     ds = build_trajectory_dataset(p, 0.0, 4.0, 801)
     segments = segment_trajectory(0.0, 4.0, p)
-    for row in ds.rows:
-        seg = segments[row.branch_id]
-        assert seg.x_start <= row.x <= seg.x_end
-        if row.direction != "turning":
-            assert row.direction == seg.direction
+    for x, branch_id, direction in zip(ds.x, ds.branch_id, ds.direction):
+        seg = segments[branch_id]
+        assert seg.x_start <= x <= seg.x_end
+        if direction != "turning":
+            assert direction == seg.direction
 
 
 def test_sweep_curve_count_and_containment(tmp_path):
@@ -137,6 +233,28 @@ def test_figure_two_eight_solid_curves(tmp_path):
     text = out.read_text()
     assert text.count("<polyline") == 8
     assert "stroke-dasharray" not in text
+
+
+_DESC = re.compile(r"<desc>t-range (\S+) (\S+) px (\S+) (\S+) ; "
+                   r"x-range (\S+) (\S+) py (\S+) (\S+)</desc>")
+
+
+@pytest.mark.parametrize("argv", [["1", "--alpha", "1.5", "--samples", "5"],
+                                  ["1", "--alpha", "1.5", "--tau", "-2"],
+                                  ["2", "--xmin", "-2", "--markers"]])
+def test_figure_points_inside_plot_box(argv, tmp_path):
+    # negative times (alpha > 1, x < 0, tau < 0) widen the time axis leftward
+    out = tmp_path / "fig.svg"
+    assert run_main(["figure", *argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    t_lo, t_hi, px_l, px_r, _, _, py_b, py_t = (float(v) for v in _DESC.search(text).groups())
+    assert t_lo < 0.0 <= t_hi
+    points = [pair.split(",") for pts in re.findall(r' points="([^"]+)"', text)
+              for pair in pts.split()]
+    points += re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', text)
+    assert len(points) > 5
+    for px, py in points:
+        assert px_l <= float(px) <= px_r and py_t <= float(py) <= py_b, (px, py)
 
 
 def test_figure_markers_flag(tmp_path):

@@ -14,6 +14,7 @@ instead:
   and ``t`` within 1e-12 relative of ``t`` at that root.
 """
 
+import hashlib
 import json
 import math
 import re
@@ -48,6 +49,20 @@ CASES = {
     "invert.json": ["invert", "--t", "1.0", "--xmin", "0", "--xmax", "3",
                     "--format", "json"],
     "params.json": ["params"],
+}
+
+_BETAS_8 = ",".join(repr(j * math.pi / 4) for j in range(8))
+
+# sha256 of large outputs written by the per-row writers that the columnar
+# datasets and chunked writers replaced; no root cell appears in them.
+BULK = {
+    "trajectory": (["trajectory", "--samples", "100000", "--xmax", "100"],
+                   "37153d7a05db65d56fb0de22fc40c194968a84bf143ed347e3a9217bb920f995"),
+    "sweep": (["sweep", "--betas", _BETAS_8, "--samples", "20000", "--xmin", "-5",
+               "--alpha", "1.5", "--tau", "1"],
+              "531a34797e8b47950d2d2a9c7a945f69e04e288846f051b5449e67b4bfe14151"),
+    "decompose": (["decompose", "--samples", "100000", "--xmin", "-50", "--xmax", "50"],
+                  "c57b2b696e66c5010bd1cdfacd911a84d8b44ebcb75f83d4cf935116c20022d8"),
 }
 
 # Where the root cells start, and a pattern for each root cell after that.
@@ -111,3 +126,11 @@ def test_golden_output(name, tmp_path):
     for alpha, m_q in got_mass:
         ref = mp_effective_mass(x, make_params(alpha=alpha))
         assert math.isclose(m_q, ref, rel_tol=1e-8), (alpha, m_q, ref)
+
+
+@pytest.mark.parametrize("name", sorted(BULK))
+def test_bulk_output_hash(name, tmp_path):
+    argv, digest = BULK[name]
+    out = tmp_path / f"{name}.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
