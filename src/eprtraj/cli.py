@@ -7,6 +7,7 @@ failures (standing-wave nodes, turning-point singularities).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -53,7 +54,9 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hbar", type=float, default=1.0)
     common.add_argument("--m", type=float, default=1.0)

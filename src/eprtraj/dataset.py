@@ -21,11 +21,11 @@ from .action import effective_quantum_mass
 from .entanglon import (_check_alphas, _divergence_ratio, _time_parts,  # noqa: F401
                         decompose_time, is_trigger_point)
 from .model import ModelParams
-from .trajectory import (_DIRECTIONS, _EVENT_KINDS, TrajectoryEvent,  # noqa: F401
-                         TurningPoint, _amplitude_squared_array, _direction_index,
-                         _dtdx_array, _time_array, _validate_range, _wedge_edges,
-                         find_turning_points, pair_events, positions_at_time,
-                         time_of_position, wedge_bounds)
+from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION,  # noqa: F401
+                         TEMPORAL_MAX, TEMPORAL_MIN, TrajectoryEvent, TurningPoints,
+                         _amplitude_squared_array, _direction_index, _dtdx_array,
+                         _time_array, _validate_range, _wedge_edges, find_turning_points,
+                         pair_events, positions_at_time, time_of_position, wedge_bounds)
 
 _CHUNK_ROWS = 2 ** 15
 
@@ -59,10 +59,11 @@ def _fill(template: str, *columns) -> str:
 
 
 def _json_num(values) -> np.ndarray:
-    """Floats as ``json.dumps`` writes them when filled into ``%s``: Python
-    floats (whose str is their repr), or the strings NaN/Infinity/-Infinity."""
+    """Floats as ``json.dumps`` writes them (repr, or NaN/Infinity/-Infinity),
+    rendered once into an object array of text for ``%s`` cells."""
     values = np.asarray(values, dtype=float)
-    cells = values.astype(object)
+    cells = np.fromiter(map(repr, values.ravel().tolist()), dtype=object,
+                        count=values.size).reshape(values.shape)
     bad = ~np.isfinite(values)
     cells[bad] = [json.dumps(v) for v in values[bad].tolist()]
     return cells
@@ -91,7 +92,7 @@ class TrajectoryDataset:
     t: np.ndarray
     dtdx: np.ndarray
     branch_id: np.ndarray
-    turning_points: list[TurningPoint]
+    turning_points: TurningPoints
 
     def __len__(self) -> int:
         return len(self.x)
@@ -118,9 +119,9 @@ def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
                              samples: int) -> TrajectoryDataset:
     xs = _sample_grid(x_min, x_max, samples)
     ts, slopes = _time_array(xs, params), _dtdx_array(xs, params)
-    turning = find_turning_points(x_min, x_max, params)
-    return TrajectoryDataset(params, xs, ts, slopes, turning_points=turning,
-                             branch_id=np.searchsorted(np.array([tp.x for tp in turning]), xs))
+    tps = find_turning_points(x_min, x_max, params)
+    return TrajectoryDataset(params, xs, ts, slopes, turning_points=tps,
+                             branch_id=np.searchsorted(tps.x, xs))
 
 
 def trajectory_csv(ds: TrajectoryDataset) -> str:
@@ -141,15 +142,16 @@ def trajectory_json(ds: TrajectoryDataset) -> str:
     Event ``i`` sits on turning point ``i`` and joins branches ``i`` and ``i + 1``.
     """
     tps = ds.turning_points
-    x, t = _json_num([tp.x for tp in tps]), _json_num([tp.t for tp in tps])
-    kinds = [tp.kind for tp in tps]
+    x, t, top = _json_num(tps.x), _json_num(tps.t), tps.maximum
     ids = np.arange(len(tps))
     return _json_doc(
         ds.params,
         rows=_json_list(_ROW_JSON, _json_num(ds.x), _json_num(ds.t), _json_num(ds.dtdx),
                         ds.branch_id, ds.direction),
-        turning_points=_json_list(_TURNING_JSON, x, t, kinds),
-        events=_json_list(_EVENT_JSON, [_EVENT_KINDS[k] for k in kinds], x, t, ids, ids + 1))
+        turning_points=_json_list(_TURNING_JSON, x, t,
+                                  np.where(top, TEMPORAL_MAX, TEMPORAL_MIN)),
+        events=_json_list(_EVENT_JSON, np.where(top, ANNIHILATION, CREATION), x, t, ids,
+                          ids + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,10 +181,10 @@ def build_sweep_dataset(params: ModelParams, betas, x_min: float, x_max: float,
 
 
 def sweep_csv(ds: SweepDataset) -> str:
-    n, rep = len(ds.xs), len(ds.betas)
-    return "beta,x,t,t_lower,t_upper\n" + _fill(
-        "%.9g,%.9g,%.9g,%.9g,%.9g\n", np.repeat(ds.betas, n), np.tile(ds.xs, rep),
-        ds.t.ravel(), np.tile(ds.t_lower, rep), np.tile(ds.t_upper, rep))
+    xs = _fill("%.9g\n", ds.xs).split("\n")[:-1]
+    wedge = _fill("%.9g,%.9g\n", ds.t_lower, ds.t_upper).split("\n")[:-1]
+    return "beta,x,t,t_lower,t_upper\n" + "".join(
+        _fill(fmt9(beta) + ",%s,%.9g,%s\n", xs, t, wedge) for beta, t in zip(ds.betas, ds.t))
 
 
 _CURVE_JSON = '    {\n      "beta": %s,\n      "rows": %s\n    }'
@@ -263,9 +265,10 @@ def build_invert_positions(params: ModelParams, t: float, x_min: float,
 
 
 def invert_csv(positions) -> str:
-    return "\n".join(["x"] + [fmt9(x) for x in positions]) + "\n"
+    return "x\n" + _fill("%.9g\n", positions)
 
 
 def invert_json(params: ModelParams, t: float, positions) -> str:
-    doc = {"params": params_dict(params), "t": t, "positions": list(positions)}
-    return json.dumps(doc, indent=2) + "\n"
+    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``."""
+    return _json_doc(params, t=json.dumps(t),
+                     positions=_json_list("    %s", _json_num(positions)))

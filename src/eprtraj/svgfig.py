@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 
-from .dataset import _fill, build_trajectory_dataset
+from . import trajectory
+# build_trajectory_dataset stays importable here: perfbench/tracing.py wraps it
+from .dataset import _fill, _sample_grid, build_trajectory_dataset  # noqa: F401
 from .model import ModelParams
 
 _WIDTH = 720
@@ -45,11 +47,12 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
     dashes = ["none", "6 5"] if figure_id == 1 else ["none"] * len(betas)
     colors = ["#1f4e9c", "#b23434"] if figure_id == 1 else list(_FIG2_COLORS)
 
-    datasets = [build_trajectory_dataset(params.replace(beta=beta), x_min, x_max, samples)
-                for beta in betas]
+    xs = _sample_grid(x_min, x_max, samples)
+    curves = [params.replace(beta=beta) for beta in betas]
+    times = [trajectory._time_array(xs, p) for p in curves]
 
-    t_lo = min(0.0, 1.02 * min(float(ds.t.min()) for ds in datasets))
-    t_hi = max(0.0, 1.02 * max(float(ds.t.max()) for ds in datasets))
+    t_lo = min(0.0, 1.02 * min(float(ts.min()) for ts in times))
+    t_hi = max(0.0, 1.02 * max(float(ts.max()) for ts in times))
     if t_hi <= t_lo:
         t_hi = t_lo + 1.0
     px_left = _MARGIN_LEFT
@@ -93,15 +96,15 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
     parts.append(f'<text x="18" y="{(py_top + py_bottom) / 2:.1f}" font-size="15" '
                  'text-anchor="middle">x</text>')
 
-    for ds, color, dash in zip(datasets, colors, dashes):
-        pts = _fill("%.3f,%.3f ", to_px(ds.t), to_py(ds.x))[:-1]
+    for p, ts, color, dash in zip(curves, times, colors, dashes):
+        pts = _fill("%.3f,%.3f ", to_px(ts), to_py(xs))[:-1]
         dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4"'
                      f'{dash_attr} points="{pts}"/>')
         if markers:
-            for ev in ds.events:
-                fill = "#2c8c50" if ev.kind == "creation" else "#b23434"
-                parts.append(f'<circle cx="{to_px(ev.t):.2f}" cy="{to_py(ev.x):.2f}" '
+            for tp in trajectory.find_turning_points(x_min, x_max, p):
+                fill = "#b23434" if tp.kind == trajectory.TEMPORAL_MAX else "#2c8c50"
+                parts.append(f'<circle cx="{to_px(tp.t):.2f}" cy="{to_py(tp.x):.2f}" '
                              f'r="3.5" fill="{fill}"/>')
 
     parts.append("</svg>")

@@ -9,7 +9,7 @@ and the contrasting single-valued motion obtained by integrating the
 conjugate momentum as if it were the mechanical momentum.
 
 Root sets need no sampling grid: the algebra splits the range into pieces with
-at most one root each, and all brackets of a call are bisected at once.
+at most one root each, and all brackets of a call are refined at once.
 """
 
 from __future__ import annotations
@@ -64,6 +64,29 @@ class TurningPoint:
     x: float
     t: float
     kind: str
+
+
+@dataclass(frozen=True, eq=False)
+class TurningPoints:
+    """Turning points as columns, ``x`` ascending; an index or iteration builds
+    :class:`TurningPoint` records on demand, a slice gives columns."""
+
+    x: np.ndarray
+    t: np.ndarray
+    maximum: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TurningPoints(self.x[i], self.t[i], self.maximum[i])
+        return TurningPoint(float(self.x[i]), float(self.t[i]),
+                            TEMPORAL_MAX if self.maximum[i] else TEMPORAL_MIN)
+
+    def __iter__(self):
+        kinds = np.where(self.maximum, TEMPORAL_MAX, TEMPORAL_MIN).tolist()
+        return map(TurningPoint, self.x.tolist(), self.t.tolist(), kinds)
 
 
 @dataclass(frozen=True)
@@ -188,8 +211,7 @@ def _bracketed_roots(f, x_min: float, x_max: float, params: ModelParams, cuts):
     return edges, fe, i, bisect_root(f, edges[i], edges[i + 1], xtol=1e-10)
 
 
-def find_turning_points(x_min: float, x_max: float,
-                        params: ModelParams) -> list[TurningPoint]:
+def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> TurningPoints:
     """All sign changes of dt/dx in ``[x_min, x_max]``, refined to 1e-10.
 
     Complete by construction: ``dt/dx`` has the sign of ``g = c (D - x D')``,
@@ -213,21 +235,21 @@ def find_turning_points(x_min: float, x_max: float,
     xs = np.concatenate([roots, edges[j]])
     order = np.argsort(xs)
     xs, maxima = xs[order], np.concatenate([ge[i], ge[j - 1]])[order] > 0.0
-    ts = _time_array(xs, params)
-    return [TurningPoint(x=x, t=t, kind=TEMPORAL_MAX if top else TEMPORAL_MIN)
-            for x, t, top in zip(xs.tolist(), ts.tolist(), maxima.tolist())]
+    return TurningPoints(xs, _time_array(xs, params), maxima)
 
 
 def segment_trajectory(x_min: float, x_max: float, params: ModelParams) -> list[Segment]:
-    """Partition ``[x_min, x_max]`` into alternating forward/retrograde segments."""
-    turning = find_turning_points(x_min, x_max, params)
-    edges = [x_min] + [tp.x for tp in turning] + [x_max]
-    segments = []
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        mid = 0.5 * (a + b)
-        direction = _DIRECTIONS[_direction_index(dtdx(mid, params))]
-        segments.append(Segment(x_start=a, x_end=b, direction=direction, branch_id=i))
-    return segments
+    """Partition ``[x_min, x_max]`` into alternating forward/retrograde segments:
+    forward up to each temporal maximum, retrograde up to each minimum."""
+    tps = find_turning_points(x_min, x_max, params)
+    if len(tps):
+        forward = np.append(tps.maximum, not tps.maximum[-1])
+        directions = np.where(forward, FORWARD, RETROGRADE).tolist()
+    else:
+        directions = [_DIRECTIONS[_direction_index(dtdx(0.5 * (x_min + x_max), params))]]
+    edges = [x_min, *tps.x.tolist(), x_max]
+    return [Segment(x_start=a, x_end=b, direction=d, branch_id=i)
+            for i, (a, b, d) in enumerate(zip(edges[:-1], edges[1:], directions))]
 
 
 def positions_at_time(t: float, x_min: float, x_max: float,
@@ -288,8 +310,8 @@ def _wedge_edges(x, params: ModelParams):
     return (destructive, reinforced) if a > 1.0 else (reinforced, destructive)
 
 
-def pair_events(turning_points: list[TurningPoint]) -> list[TrajectoryEvent]:
-    """Label sorted turning points as creation/annihilation events.
+def pair_events(turning_points) -> list[TrajectoryEvent]:
+    """Label sorted turning points (records or columns) as creation/annihilation events.
 
     Each temporal minimum spawns a branch pair (one member running toward
     -x, one toward +x as time advances); each temporal maximum joins and

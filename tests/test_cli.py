@@ -78,6 +78,12 @@ def _trajectory_doc(ds):
     }
 
 
+def _turning_points(x=(), t=(), maximum=()):
+    from eprtraj import TurningPoints
+    return TurningPoints(x=np.array(x, dtype=float), t=np.array(t, dtype=float),
+                         maximum=np.array(maximum, dtype=bool))
+
+
 def _odd_trajectory(p, turning_points):
     """Columns with non-finite, signed-zero and subnormal cells."""
     from eprtraj.dataset import TrajectoryDataset
@@ -93,14 +99,15 @@ def test_trajectory_json_matches_generic_encoder():
     from eprtraj.dataset import build_trajectory_dataset, trajectory_json
     from eprtraj.trajectory import TurningPoint
     p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
-    tps = [TurningPoint(1.0, math.inf, "temporal_max"),
-           TurningPoint(2.0, -math.inf, "temporal_min")]
+    tps = _turning_points([1.0, 2.0], [math.inf, -math.inf], [True, False])
+    assert list(tps) == [TurningPoint(1.0, math.inf, "temporal_max"),
+                         TurningPoint(2.0, -math.inf, "temporal_min")]
     odd = _odd_trajectory(p, tps)
     assert odd.direction.tolist() == ["turning", "forward", "turning", "retrograde"]
     assert [(ev.kind, ev.branch_ids) for ev in odd.events] == [("annihilation", (0, 1)),
                                                                ("creation", (1, 2))]
-    for ds in (build_trajectory_dataset(p, 0.0, 4.0, 41),
-               build_trajectory_dataset(p, 0.0, 0.5, 5), odd, _odd_trajectory(p, [])):
+    for ds in (build_trajectory_dataset(p, 0.0, 4.0, 41), build_trajectory_dataset(p, 0.0, 0.5, 5),
+               odd, _odd_trajectory(p, _turning_points())):
         assert trajectory_json(ds) == json.dumps(_trajectory_doc(ds), indent=2) + "\n"
 
 
@@ -148,6 +155,47 @@ def test_decompose_json_matches_generic_encoder():
         assert decompose_json(p, rows) == json.dumps(doc, indent=2) + "\n"
 
 
+def _many_positions():
+    from eprtraj import positions_at_time, validate_params
+    p = validate_params(1.0, 1.0, 0.5, 0.0, 2000.0)
+    return positions_at_time(2e-4, 0.0, 1.0, p) + [-0.0, 5e-324, 1e300]
+
+
+@pytest.mark.parametrize("positions", [[], [0.8266341165551545], [-0.0, 5e-324, 1e300],
+                                       _many_positions()])
+def test_invert_writers_match_generic_encoder(positions):
+    from eprtraj import validate_params
+    from eprtraj.dataset import invert_csv, invert_json, params_dict
+    p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
+    for t in (1.0, -0.0, 5e-324, 1e300):
+        doc = {"params": params_dict(p), "t": t, "positions": positions}
+        assert invert_json(p, t, positions) == json.dumps(doc, indent=2) + "\n"
+    assert invert_csv(positions) == "\n".join(["x"] + [fmt9(x) for x in positions]) + "\n"
+
+
+def test_parser_shared_across_calls(tmp_path, capsys):
+    from eprtraj.cli import build_parser
+    calls = [["trajectory", "--samples", "5"], ["trajectory", "--samples", "five"],
+             ["sweep", "--betas", "0,1", "--samples", "5"]]
+
+    def run(fresh):
+        results = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{i}.csv"
+            rc = main(argv + ["--out", str(out)])
+            results.append((rc, out.read_text() if out.exists() else None,
+                            capsys.readouterr().err))
+        return results
+
+    build_parser.cache_clear()
+    shared = run(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in shared] == [0, 2, 0]
+    assert shared == run(fresh=True)
+
+
 _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300]
 _BULK = 2 ** 15 + 1  # one row past the first chunk
 
@@ -179,7 +227,8 @@ def test_chunked_csv_mixed_template(bulk_cells):
     cells, _ = bulk_cells
     ds = TrajectoryDataset(params=validate_params(1.0, 1.0, 0.5, 0.0, 1.0), x=cells[:, 0],
                            t=cells[:, 1], dtdx=cells[:, 2],
-                           branch_id=np.arange(_BULK) * 977 % 5003, turning_points=[])
+                           branch_id=np.arange(_BULK) * 977 % 5003,
+                           turning_points=_turning_points())
     ref = "".join(f"{fmt9(x)},{fmt9(t)},{fmt9(s)},{b},{d}\n" for x, t, s, b, d in
                   zip(ds.x.tolist(), ds.t.tolist(), ds.dtdx.tolist(), ds.branch_id.tolist(),
                       ds.direction.tolist()))

@@ -22,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from eprtraj import find_turning_points, pair_events
 from eprtraj.cli import main
+from eprtraj.trajectory import TEMPORAL_MAX, TEMPORAL_MIN, TurningPoint, TurningPoints
 
 from conftest import make_params, mp_effective_mass, mp_root, mp_time, mp_turning_point
 
@@ -134,3 +136,20 @@ def test_bulk_output_hash(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_turning_points_records_match_golden():
+    tps = find_turning_points(0.0, 4.0, make_params())  # the golden trajectory's range
+    records = list(tps)
+    # the list find_turning_points returned before it returned columns
+    old = [TurningPoint(x=x, t=t, kind=TEMPORAL_MAX if top else TEMPORAL_MIN)
+           for x, t, top in zip(tps.x.tolist(), tps.t.tolist(), tps.maximum.tolist())]
+    assert records == [tps[i] for i in range(len(tps))] == old
+    assert all(type(r.x) is float and type(r.t) is float for r in records)
+    assert tps[-1] == records[-1]
+    assert isinstance(tps[1:], TurningPoints) and list(tps[1:]) == records[1:]
+    assert pair_events(tps) == pair_events(records)
+    golden = json.loads((GOLDEN / "trajectory.json").read_text())["turning_points"]
+    assert [r.kind for r in records] == [g["kind"] for g in golden]
+    for r, g in zip(records, golden):
+        assert abs(r.x - g["x"]) <= 1e-10 and math.isclose(r.t, g["t"], rel_tol=1e-9)

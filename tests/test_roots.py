@@ -8,16 +8,20 @@ forms ``g = c (D - x D')`` (the sign of dt/dx) and ``h = c x - (t - tau) D``
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprtraj import SingularityError, find_turning_points, positions_at_time
+from eprtraj import (SingularityError, dtdx, find_turning_points, positions_at_time,
+                     segment_trajectory)
+from eprtraj import trajectory
 from eprtraj.cli import main
+from eprtraj.rootfind import bisect_root
 from eprtraj.trajectory import TEMPORAL_MAX
 
-from conftest import make_params
+from conftest import make_params, mp_root
 
 # Samples per half-period of cos(2kx + beta) in the dense count.
 _DENSE = 128
@@ -50,6 +54,17 @@ def test_high_k_root_sets_complete():
     dense = [_dense_sign_changes(f, 0.0, 1.0, p.k) for f in (g, h)]
     assert [len(find_turning_points(0.0, 1.0, p)), len(positions_at_time(2e-4, 0.0, 1.0, p))] \
         == dense == [1273, 1103]
+    _check_segment_directions(0.0, 1.0, p)
+
+
+def _check_segment_directions(x_min, x_max, p):
+    """Directions taken from the turning-point kinds equal the sign of dt/dx at
+    each segment's midpoint, the rule they replaced."""
+    segments = segment_trajectory(x_min, x_max, p)
+    assert len(segments) == len(find_turning_points(x_min, x_max, p)) + 1
+    for seg in segments:
+        slope = dtdx(0.5 * (seg.x_start + seg.x_end), p)
+        assert seg.direction == ("forward" if slope > 0.0 else "retrograde"), seg
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -78,6 +93,7 @@ def test_root_sets_match_dense_count(alpha, beta, k, tau, x_min, width, where):
     for tp in tps:
         assert (tp.kind == TEMPORAL_MAX) == (g(tp.x - 1e-9 * max(1.0, abs(tp.x))) > 0.0)
     assert all(a.kind != b.kind for a, b in zip(tps, tps[1:]))
+    _check_segment_directions(x_min, x_max, p)
 
 
 def test_node_between_samples_raises(tmp_path):
@@ -92,3 +108,61 @@ def test_node_between_samples_raises(tmp_path):
     argv = ["invert", "--t", "1.0", "--xmin", "0", "--xmax", "4", "--alpha", repr(alpha),
             "--beta", "0.1234", "--out", str(tmp_path / "invert.csv")]
     assert main(argv) == 3
+
+
+# Brackets for bisect_root from three functions on disjoint ranges of x:
+# t(x) - T on both flanks of four near-nodes (alpha = 1 - 1e-6: D falls to
+# 1e-12 and t climbs from about 0 to 3e5-2.4e6 within 1e-3), a line of slope
+# 1e-9, and a cubic whose slope at its root is 1e-6.
+_A, _K, _T = 1.0 - 1e-6, 3.0, 1e3
+_NODES = [(math.pi / 2 + n * math.pi) / _K for n in range(4)]  # cos(K x) = 0
+_BRACKETS = sorted([(x - 1e-3, x) for x in _NODES] + [(x, x + 1e-3) for x in _NODES]
+                   + [(4.2, 5.9), (6.1, 7.9)])
+
+
+def _mixed(x, lib=np):
+    if x < 4.0:
+        d = (1 - _A) ** 2 + 4 * _A * lib.cos(_K * x) ** 2
+        c = (1 - _A * _A) / _K
+        # mpmath refines c x - T d, which has the same roots and no spike
+        return c * x / d - _T if lib is np else c * x - _T * d
+    if x < 6.0:
+        return 1e-9 * (x - 5.1)
+    return (x - 7.3) ** 3 + 1e-6 * (x - 7.3)
+
+
+def test_itp_step_bound_and_containment():
+    lo, hi = (np.array(v) for v in zip(*_BRACKETS))
+    assert all(_mixed(a) * _mixed(b) < 0.0 for a, b in _BRACKETS)
+    seen = []
+
+    def f(xs):
+        seen.append(xs.copy())
+        return np.array([_mixed(x) for x in xs.tolist()])
+
+    xtol = 1e-10
+    roots = bisect_root(f, lo, hi, xtol)
+    bisections = math.ceil(math.log2(np.max(hi - lo) / xtol))
+    assert len(seen) - 2 <= bisections + 1  # one call for the ends, one per step
+    for xs in seen[1:]:
+        i = np.searchsorted(lo, xs, side="right") - 1
+        assert np.all((lo[i] <= xs) & (xs <= hi[i]))
+    for (a, b), root in zip(_BRACKETS, roots.tolist()):
+        with mpmath.workdps(50):
+            ref = mp_root(lambda v: _mixed(v, mpmath), root)
+        assert abs(root - ref) <= xtol / 2, (a, b, root, float(ref))
+
+
+def test_itp_closes_smooth_brackets_early(monkeypatch):
+    steps = []
+
+    def counting(f, lo, hi, xtol=1e-10):
+        def g(xs):
+            steps.append(len(xs))
+            return f(xs)
+        return bisect_root(g, lo, hi, xtol)
+
+    monkeypatch.setattr(trajectory, "bisect_root", counting)
+    assert len(find_turning_points(0.0, 20.0, make_params(k=2000.0))) == 25464
+    # bisection takes 23 steps here; ITP closes every bracket within 10
+    assert len(steps) - 1 <= 10

@@ -97,7 +97,7 @@ def test_turning_points_count_zero_to_four(ref_params):
 
 
 def test_turning_points_free_particle_empty():
-    assert find_turning_points(0.0, 4.0, make_params(alpha=1e-9)) == []
+    assert len(find_turning_points(0.0, 4.0, make_params(alpha=1e-9))) == 0
 
 
 def test_turning_points_range_validation(ref_params):
