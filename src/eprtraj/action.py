@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .model import ModelParams
-from .wavefunction import _phase_parts, checked_amplitude_squared
+from .wavefunction import _phase_parts, _slope_factor, amplitude_squared
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def conjugate_momentum(x: float, params: ModelParams) -> float:
     Satisfies the continuity identity ``D * W' = hbar * k`` exactly.  Note
     this is not the mechanical momentum ``M * dx/dt`` along the trajectory.
     """
-    return params.hbar * params.k / checked_amplitude_squared(x, params)
+    return params.hbar * params.k / amplitude_squared(x, params, math, True)
 
 
 def quantum_potential(x: float, params: ModelParams) -> float:
@@ -101,22 +101,21 @@ def quantum_potential(x: float, params: ModelParams) -> float:
     This is the stationary Hamilton-Jacobi residual ``E - W'^2/(2M)`` for a
     free molecule, with ``W'`` the conjugate momentum above.
     """
-    d = checked_amplitude_squared(x, params)
+    d = amplitude_squared(x, params, math, True)
     return params.E * (1.0 - 1.0 / (d * d))
 
 
-def effective_quantum_mass(x: float, params: ModelParams) -> QuantumMassSample:
+def effective_quantum_mass(x, params: ModelParams, xp=math) -> QuantumMassSample:
     """Effective quantum mass ``m_q = M (1 - dQ/dE) = M (D - x D') / D^3``.
 
     ``D' = -4 alpha k sin(2kx + beta)`` is the slope of the squared
     amplitude; ``dQ/dE`` is taken at fixed ``(x, alpha, beta, m, hbar)`` with
     ``k = sqrt(2 M E) / hbar``.  The composite mass ``M`` multiplies the
-    bracket.
+    bracket.  ``x`` is a float, or an array with ``xp=np``.
 
     Raises:
         SingularityError: on a standing-wave node.
     """
-    d = checked_amplitude_squared(x, params)
-    d_prime = -4.0 * params.alpha * params.k * math.sin(2.0 * params.k * x + params.beta)
-    return QuantumMassSample(x=x, q=params.E * (1.0 - 1.0 / (d * d)),
-                             m_q=params.M * (d - x * d_prime) / (d * d * d))
+    d = amplitude_squared(x, params, xp, True)
+    return QuantumMassSample(x, params.E * (1.0 - 1.0 / (d * d)),
+                             params.M * _slope_factor(x, params, d, xp) / (d * d * d))

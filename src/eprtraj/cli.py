@@ -8,40 +8,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dataset as ds
-from .model import ModelParams, validate_params
+from .model import validate_params
 from .svgfig import render_figure
-
-_TABULAR = ("csv", "json")
-
-
-@dataclass
-class RunConfig:
-    """Normalized invocation: subcommand, parameters, range, output, format."""
-
-    command: str
-    params: ModelParams
-    x_min: float
-    x_max: float
-    samples: int
-    fmt: str
-    out: Path | None
-
-    def validate(self) -> None:
-        if self.samples < 2:
-            raise ValueError(f"samples must be at least 2, got {self.samples}")
-        if not self.x_min < self.x_max:
-            raise ValueError(f"need xmin < xmax, got [{self.x_min}, {self.x_max}]")
-        if self.command == "figure":
-            if self.fmt != "svg":
-                raise ValueError(f"figure emits svg only, got format {self.fmt!r}")
-        elif self.fmt not in _TABULAR:
-            raise ValueError(f"{self.command} emits csv or json, got {self.fmt!r}")
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -111,52 +85,43 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
-def _default_format(command: str) -> str:
-    if command == "figure":
-        return "svg"
-    if command == "params":
-        return "json"
-    return "csv"
+# command: (builder, {format: writer}); the first format is the default.  Names
+# are looked up when a command runs, so wrappers installed after import (as
+# perfbench/tracing.py installs them) see every call.
+_COMMANDS = {
+    "trajectory": (lambda a, p: ds.build_trajectory_dataset(p, a.xmin, a.xmax, a.samples),
+                   {"csv": lambda a, p, data: ds.trajectory_csv(data),
+                    "json": lambda a, p, data: ds.trajectory_json(data)}),
+    "sweep": (lambda a, p: ds.build_sweep_dataset(p, _parse_float_list(a.betas, "--betas"),
+                                                  a.xmin, a.xmax, a.samples),
+              {"csv": lambda a, p, data: ds.sweep_csv(data),
+               "json": lambda a, p, data: ds.sweep_json(data)}),
+    "figure": (lambda a, p: render_figure(a.figure_id, p, a.xmin, a.xmax, a.samples,
+                                          markers=a.markers),
+               {"svg": lambda a, p, text: text}),
+    "decompose": (lambda a, p: ds.build_decompose_rows(p, a.xmin, a.xmax, a.samples),
+                  {"csv": lambda a, p, rows: ds.decompose_csv(rows),
+                   "json": lambda a, p, rows: ds.decompose_json(p, rows)}),
+    "limit": (lambda a, p: ds.build_limit_rows(
+                  p, a.x, _parse_float_list(a.alphas, "--alphas"), a.side),
+              {"csv": lambda a, p, rows: ds.limit_csv(rows),
+               "json": lambda a, p, rows: ds.limit_json(p, a.side, rows)}),
+    "invert": (lambda a, p: ds.build_invert_positions(p, a.t, a.xmin, a.xmax),
+               {"csv": lambda a, p, xs: ds.invert_csv(xs),
+                "json": lambda a, p, xs: ds.invert_json(p, a.t, xs)}),
+    "params": (lambda a, p: ds.params_dict(p),
+               {"json": lambda a, p, doc: json.dumps(doc, indent=2) + "\n"}),
+}
 
 
 def _run(args: argparse.Namespace) -> None:
     params = validate_params(args.hbar, args.m, args.alpha, args.beta, args.k,
                              args.tau)
-    fmt = args.format or _default_format(args.command)
-    config = RunConfig(command=args.command, params=params, x_min=args.xmin,
-                       x_max=args.xmax, samples=args.samples, fmt=fmt,
-                       out=args.out)
-    config.validate()
-
-    if args.command == "trajectory":
-        data = ds.build_trajectory_dataset(params, config.x_min, config.x_max,
-                                           config.samples)
-        text = ds.trajectory_csv(data) if fmt == "csv" else ds.trajectory_json(data)
-    elif args.command == "sweep":
-        betas = _parse_float_list(args.betas, "--betas")
-        data = ds.build_sweep_dataset(params, betas, config.x_min, config.x_max,
-                                      config.samples)
-        text = ds.sweep_csv(data) if fmt == "csv" else ds.sweep_json(data)
-    elif args.command == "figure":
-        text = render_figure(args.figure_id, params, config.x_min, config.x_max,
-                             config.samples, markers=args.markers)
-    elif args.command == "decompose":
-        rows = ds.build_decompose_rows(params, config.x_min, config.x_max,
-                                       config.samples)
-        text = ds.decompose_csv(rows) if fmt == "csv" else ds.decompose_json(params, rows)
-    elif args.command == "limit":
-        alphas = _parse_float_list(args.alphas, "--alphas")
-        rows = ds.build_limit_rows(params, args.x, alphas, args.side)
-        text = ds.limit_csv(rows) if fmt == "csv" else ds.limit_json(params, args.side, rows)
-    elif args.command == "invert":
-        positions = ds.build_invert_positions(params, args.t, config.x_min,
-                                              config.x_max)
-        text = ds.invert_csv(positions) if fmt == "csv" \
-            else ds.invert_json(params, args.t, positions)
-    else:  # params
-        import json
-        text = json.dumps(ds.params_dict(params), indent=2) + "\n"
-    _emit(text, config.out)
+    build, writers = _COMMANDS[args.command]
+    fmt = args.format or next(iter(writers))
+    if fmt not in writers:
+        raise ValueError(f"{args.command} emits {' or '.join(writers)}, got format {fmt!r}")
+    _emit(writers[fmt](args, params, build(args, params)), args.out)
 
 
 def main(argv=None) -> int:

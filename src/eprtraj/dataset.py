@@ -18,14 +18,14 @@ import numpy as np
 from .action import effective_quantum_mass
 # decompose_time and wedge_bounds are not called here; perfbench/tracing.py
 # counts their calls through this module, so they stay importable from it.
-from .entanglon import (_check_alphas, _divergence_ratio, _time_parts,  # noqa: F401
+from .entanglon import (_check_study, _divergence_ratio, _time_parts,  # noqa: F401
                         decompose_time, is_trigger_point)
 from .model import ModelParams
 from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION,  # noqa: F401
                          TEMPORAL_MAX, TEMPORAL_MIN, TrajectoryEvent, TurningPoints,
-                         _amplitude_squared_array, _direction_index, _dtdx_array,
-                         _time_array, _validate_range, _wedge_edges, find_turning_points,
-                         pair_events, positions_at_time, time_of_position, wedge_bounds)
+                         _direction_index, _dtdx_array, _time_array, _validate_range,
+                         _wedge_edges, find_turning_points, pair_events, positions_at_time,
+                         time_of_position, wedge_bounds)
 
 _CHUNK_ROWS = 2 ** 15
 
@@ -208,9 +208,7 @@ def build_decompose_rows(params: ModelParams, x_min: float, x_max: float,
                          samples: int) -> np.ndarray:
     """Columns x, c_p1, c_p2, c_ent, total of :func:`decompose_time`, shape (samples, 5)."""
     xs = _sample_grid(x_min, x_max, samples)
-    d = _amplitude_squared_array(xs, params)
-    cos_th = np.cos(2.0 * params.k * xs + params.beta)
-    return np.column_stack((xs, *_time_parts(xs, params, cos_th, d)))
+    return np.column_stack((xs, *_time_parts(xs, params, np)))
 
 
 def decompose_csv(rows: np.ndarray) -> str:
@@ -233,7 +231,7 @@ def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
     is only meaningful at trigger points and is None elsewhere.
     """
     alphas = list(alphas)
-    _check_alphas(alphas, side, "limit")
+    _check_study(x, alphas, side, "limit")
     rows = []
     for a in alphas:
         p = params.replace(alpha=a)

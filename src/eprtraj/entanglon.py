@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .action import effective_quantum_mass
 from .model import LimitSeries, ModelParams
 from .trajectory import time_of_position
-from .wavefunction import checked_amplitude_squared
+from .wavefunction import amplitude_squared
 
 TRIGGER_TOL = 1e-9
 
@@ -44,15 +44,14 @@ def decompose_time(x: float, params: ModelParams) -> Decomposition:
     everything produced by their interference and vanishes identically where
     ``cos(2kx + beta) = 0``.  The three sum exactly to the total.
     """
-    d = checked_amplitude_squared(x, params)
-    return Decomposition(*_time_parts(
-        x, params, math.cos(2.0 * params.k * x + params.beta), d))
+    return Decomposition(*_time_parts(x, params))
 
 
-def _time_parts(x, params: ModelParams, cos_th, d):
-    """``(c_p1, c_p2, c_ent, total)`` of :func:`decompose_time`, float or array,
-    from ``cos_th = cos(2kx + beta)`` and the squared amplitude ``d``."""
+def _time_parts(x, params: ModelParams, xp=math):
+    """``(c_p1, c_p2, c_ent, total)`` of :func:`decompose_time`, float or array (``xp=np``)."""
     a = params.alpha
+    d = amplitude_squared(x, params, xp, True)
+    cos_th = xp.cos(2.0 * params.k * x + params.beta)
     u = params.m * x / (params.hbar * params.k)
     weight = 1.0 + a * a
     c_p1 = u / weight
@@ -61,7 +60,11 @@ def _time_parts(x, params: ModelParams, cos_th, d):
     return c_p1, c_p2, c_ent, c_p1 + c_p2 + c_ent
 
 
-def _check_alphas(alphas, side: str, context: str) -> None:
+def _check_study(x: float, alphas, side: str, context: str) -> None:
+    """What every alpha -> 1 study needs: a finite ``x`` and alphas approaching 1
+    strictly monotonically from ``side``."""
+    if not math.isfinite(x):
+        raise ValueError(f"{context}: x must be finite, got x={x}")
     if not alphas:
         raise ValueError(f"{context}: alpha_sequence must not be empty")
     if side == "below":
@@ -94,7 +97,7 @@ def entanglon_divergence(x: float, params: ModelParams, alpha_sequence) -> Limit
             f"x={x} is not a trigger point (cos(2kx+beta) != -1); "
             "use decompose_time for generic positions")
     alphas = list(alpha_sequence)
-    _check_alphas(alphas, "below", "entanglon_divergence")
+    _check_study(x, alphas, "below", "entanglon_divergence")
     entries = []
     for a in alphas:
         p = params.replace(alpha=a)
@@ -118,7 +121,7 @@ def epr_limit_time(x: float, params: ModelParams, alpha_sequence,
     if side == "above" and x >= 0.0:
         raise ValueError(f"side='above' pairs with x < 0, got x={x}")
     alphas = list(alpha_sequence)
-    _check_alphas(alphas, side, "epr_limit_time")
+    _check_study(x, alphas, side, "epr_limit_time")
     entries = tuple((a, time_of_position(x, params.replace(alpha=a))) for a in alphas)
     return LimitSeries(entries, side, "time_of_position")
 
@@ -130,7 +133,7 @@ def epr_limit_mass(x: float, params: ModelParams, alpha_sequence) -> LimitSeries
     trigger points the values are recorded without an asserted limit.
     """
     alphas = list(alpha_sequence)
-    _check_alphas(alphas, "below", "epr_limit_mass")
+    _check_study(x, alphas, "below", "epr_limit_mass")
     entries = tuple(
         (a, effective_quantum_mass(x, params.replace(alpha=a)).m_q) for a in alphas)
     return LimitSeries(entries, "below", "effective_quantum_mass")

@@ -10,7 +10,7 @@ eigenfunction with ``E = hbar**2 * k**2 / (2 * M)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,8 +20,9 @@ class ModelParams:
     """Validated parameter set.  Construct via :func:`validate_params`.
 
     ``hbar``, ``m``, ``alpha`` and ``k`` are strictly positive, ``beta`` is
-    normalized to ``(-pi, pi]``, and ``E``/``M`` are derived.  ``tau`` is the
-    epoch offset of the equation of motion (0 launches from the origin).
+    normalized to ``(-pi, pi]``, and ``E``, ``M`` and the motion coefficient
+    ``c`` are derived.  ``tau`` is the epoch offset of the equation of motion
+    (0 launches from the origin).
     """
 
     hbar: float
@@ -32,6 +33,12 @@ class ModelParams:
     E: float
     M: float
     tau: float = 0.0
+    c: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # motion coefficient m (1 - alpha^2) / (hbar k), factored to stay exact as alpha -> 1
+        object.__setattr__(self, "c", self.m * (1.0 - self.alpha) * (1.0 + self.alpha)
+                           / (self.hbar * self.k))
 
     def replace(self, **changes) -> "ModelParams":
         """Copy with some raw inputs changed, re-derived by :func:`validate_params`."""

@@ -14,15 +14,16 @@ at most one root each, and all brackets of a call are refined at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteVelocityError, SingularityError
+from .errors import InfiniteVelocityError
 from .model import ModelParams
 from .rootfind import bisect_root
-from .wavefunction import MIN_AMPLITUDE_SQUARED, checked_amplitude_squared
+from .wavefunction import _slope_factor, amplitude_squared
 
 FORWARD = "forward"
 RETROGRADE = "retrograde"
@@ -123,54 +124,30 @@ class TrajectoryEvent:
     branch_ids: tuple[int, int]
 
 
-def _motion_coefficient(params: ModelParams) -> float:
-    # m (1 - alpha^2) / (hbar k), factored so it stays exact as alpha -> 1
-    return params.m * (1.0 - params.alpha) * (1.0 + params.alpha) / (params.hbar * params.k)
-
-
-def _amplitude_squared_array(xs: np.ndarray, params: ModelParams) -> np.ndarray:
-    a, b, k = params.alpha, params.beta, params.k
-    c = np.cos(k * xs + 0.5 * b)
-    d = (1.0 - a) * (1.0 - a) + 4.0 * a * c * c
-    if np.any(d < MIN_AMPLITUDE_SQUARED):
-        x_bad = float(xs[int(np.argmin(d))])
-        raise SingularityError(
-            f"amplitude squared vanishes at x={x_bad}: standing-wave node")
-    return d
-
-
-def _time_array(xs: np.ndarray, params: ModelParams) -> np.ndarray:
-    d = _amplitude_squared_array(xs, params)
-    return params.tau + _motion_coefficient(params) * xs / d
-
-
-def _dtdx_array(xs: np.ndarray, params: ModelParams) -> np.ndarray:
-    a, b, k = params.alpha, params.beta, params.k
-    d = _amplitude_squared_array(xs, params)
-    d_prime = -4.0 * a * k * np.sin(2.0 * k * xs + b)
-    return _motion_coefficient(params) * (d - xs * d_prime) / (d * d)
-
-
 def _direction_index(slope):
     """Index into ``_DIRECTIONS`` of dt/dx (float or array); NaN is turning."""
     return 1 * (slope > 0.0) - 1 * (slope < 0.0)
 
 
-def time_of_position(x: float, params: ModelParams) -> float:
-    """Time at which the trajectory passes position ``x``.
+def time_of_position(x, params: ModelParams, xp=math) -> float:
+    """Time at which the trajectory passes position ``x`` (an array with ``xp=np``).
 
     Single-valued in ``x``; the inverse map (:func:`positions_at_time`) can
     return several positions for one time.
     """
-    d = checked_amplitude_squared(x, params)
-    return params.tau + _motion_coefficient(params) * x / d
+    d = amplitude_squared(x, params, xp, True)
+    return params.tau + params.c * x / d
 
 
-def dtdx(x: float, params: ModelParams) -> float:
-    """Analytic derivative of :func:`time_of_position`."""
-    d = checked_amplitude_squared(x, params)
-    d_prime = -4.0 * params.alpha * params.k * math.sin(2.0 * params.k * x + params.beta)
-    return _motion_coefficient(params) * (d - x * d_prime) / (d * d)
+def dtdx(x, params: ModelParams, xp=math) -> float:
+    """Analytic derivative ``c (D - x D') / D^2`` of :func:`time_of_position`."""
+    d = amplitude_squared(x, params, xp, True)
+    return params.c * _slope_factor(x, params, d, xp) / (d * d)
+
+
+# The array forms keep names of their own: perfbench/tracing.py counts their points.
+_time_array = functools.partial(time_of_position, xp=np)
+_dtdx_array = functools.partial(dtdx, xp=np)
 
 
 def trajectory_point(x: float, params: ModelParams) -> TrajectoryPoint:
@@ -205,7 +182,7 @@ def _bracketed_roots(f, x_min: float, x_max: float, params: ModelParams, cuts):
     nodes = _phase_points(x_min, x_max, params, math.pi, 2.0 * math.pi)
     edges = np.sort(np.concatenate([[x_min, x_max], nodes, *cuts]))
     edges = edges[np.concatenate(([True], np.diff(edges) > 0.0))]  # np.unique loads np.ma
-    _amplitude_squared_array(edges, params)
+    amplitude_squared(edges, params, np, True)
     fe = f(edges)
     i = np.flatnonzero(fe[:-1] * fe[1:] < 0.0)
     return edges, fe, i, bisect_root(f, edges[i], edges[i + 1], xtol=1e-10)
@@ -220,12 +197,9 @@ def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> Turn
     such piece holds at most one turning point.
     """
     _validate_range(x_min, x_max)
-    a, b, k, c = params.alpha, params.beta, params.k, _motion_coefficient(params)
 
-    def g(xs):  # D^2 dt/dx = c (D - x D'); with s = kx + beta/2, -x D' = 8akx sin s cos s
-        s = k * xs + 0.5 * b
-        cs = np.cos(s)
-        return c * ((1.0 - a) ** 2 + cs * (4.0 * a * cs + 8.0 * a * k * xs * np.sin(s)))
+    def g(xs):  # D^2 dt/dx
+        return params.c * _slope_factor(xs, params, amplitude_squared(xs, params, np), np)
 
     cuts = ([np.clip(0.0, x_min, x_max)],
             _phase_points(x_min, x_max, params, 0.5 * math.pi, math.pi))
@@ -266,14 +240,12 @@ def positions_at_time(t: float, x_min: float, x_max: float,
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     _validate_range(x_min, x_max)
-    a, b, k = params.alpha, params.beta, params.k
-    c, dt = _motion_coefficient(params), t - params.tau
+    c, dt = params.c, t - params.tau
 
     def h(xs):
-        cs = np.cos(k * xs + 0.5 * b)
-        return c * xs - dt * (1.0 - a) ** 2 - 4.0 * a * dt * cs * cs
+        return c * xs - dt * amplitude_squared(xs, params, np)
 
-    amp = 4.0 * a * k * dt
+    amp = 4.0 * params.alpha * params.k * dt
     cuts = []
     if amp != 0.0 and abs(c) <= abs(amp):
         s = math.asin(-c / amp)

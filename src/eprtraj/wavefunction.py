@@ -11,6 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SingularityError
 from .model import LimitSeries, ModelParams
 
@@ -34,22 +36,34 @@ def _phase_parts(x: float, k: float, alpha: float, beta: float) -> tuple[float, 
     return num, den
 
 
-def amplitude_squared(x: float, params: ModelParams) -> float:
-    """Squared amplitude ``1 + alpha^2 + 2 alpha cos(2kx + beta)``."""
+def amplitude_squared(x, params: ModelParams, xp=math, checked: bool = False):
+    """Squared amplitude ``D = 1 + alpha^2 + 2 alpha cos(2kx + beta)``.
+
+    ``x`` is a float, or an array with ``xp=np``: every kernel formula takes
+    ``xp`` and is written once for both.  With ``checked`` a standing-wave node
+    raises :class:`SingularityError`: ``D`` (for an array, its smallest value)
+    below ``MIN_AMPLITUDE_SQUARED``.
+    """
     # (1-a)^2 + 4a cos^2(kx + b/2) == 1 + a^2 + 2a cos(2kx + b), rewritten so
     # no cancellation occurs near standing-wave nodes (both terms are >= 0).
     alpha = params.alpha
-    c = math.cos(params.k * x + 0.5 * params.beta)
-    return (1.0 - alpha) * (1.0 - alpha) + 4.0 * alpha * c * c
-
-
-def checked_amplitude_squared(x: float, params: ModelParams) -> float:
-    """Squared amplitude, raising :class:`SingularityError` on a node."""
-    d = amplitude_squared(x, params)
-    if d < MIN_AMPLITUDE_SQUARED:
-        raise SingularityError(
-            f"amplitude squared is {d:.3e} at x={x}: standing-wave node")
+    c = xp.cos(params.k * x + 0.5 * params.beta)
+    d = (1.0 - alpha) * (1.0 - alpha) + 4.0 * alpha * c * c
+    if checked:
+        low = d < MIN_AMPLITUDE_SQUARED
+        if low if xp is math else low.any():
+            i = np.argmin(d)
+            raise SingularityError(f"amplitude squared is {np.ravel(d)[i]:.3e} "
+                                   f"at x={np.ravel(x)[i]}: standing-wave node")
     return d
+
+
+def _slope_factor(x, params: ModelParams, d, xp=math):
+    """``D - x D'`` with ``D' = -4 alpha k sin(2kx + beta)``, from ``d = D(x)``.
+
+    ``dt/dx = c (D - x D') / D^2`` and ``m_q = M (D - x D') / D^3``.
+    """
+    return d - x * (-4.0 * params.alpha * params.k * xp.sin(2.0 * params.k * x + params.beta))
 
 
 def psi_bipolar(x: float, params: ModelParams) -> complex:
@@ -79,8 +93,6 @@ def epr_limit_wave(x: float, params: ModelParams, alpha_sequence) -> LimitSeries
     exactly 1 (the wave function itself is regular there).
     """
     alphas = list(alpha_sequence)
-    if not alphas:
-        raise ValueError("alpha_sequence must not be empty")
-    side = "above" if alphas[0] > 1.0 else "below"
+    side = "above" if alphas and alphas[0] > 1.0 else "below"
     entries = tuple((a, psi_bipolar(x, params.replace(alpha=a))) for a in alphas)
     return LimitSeries(entries, side, "psi")

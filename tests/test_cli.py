@@ -394,6 +394,14 @@ def test_argument_errors_exit_2():
     assert run_main(["trajectory", "--samples", "1"]) == 2
     assert run_main(["trajectory", "--xmin", "2", "--xmax", "1"]) == 2
     assert run_main(["figure", "1", "--format", "csv"]) == 2
+    assert run_main(["params", "--format", "csv"]) == 2
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_limit_non_finite_x_exit_2(x, capsys):
+    argv = ["limit", "--side", "below", "--alphas", "0.9,0.99", "--x", x]
+    assert run_main(argv) == 2
+    assert f"x must be finite, got x={float(x)}" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_3(tmp_path):

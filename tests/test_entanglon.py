@@ -12,6 +12,7 @@ from eprtraj import (
     is_trigger_point,
     time_of_position,
 )
+from eprtraj.dataset import build_limit_rows
 
 from conftest import make_params
 
@@ -151,6 +152,17 @@ def test_limit_time_pairing_validation(ref_params):
         epr_limit_time(0.5, ref_params, [0.9, 0.99], "sideways")
     with pytest.raises(ValueError, match="monotonic"):
         epr_limit_time(0.5, ref_params, [0.9, 0.5], "below")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_limit_studies_reject_non_finite_x(x, ref_params):
+    # one shared check: before it, nan gave nan rows and inf "math domain error"
+    alphas = [0.9, 0.99]
+    for study in (lambda: build_limit_rows(ref_params, x, alphas, "below"),
+                  lambda: epr_limit_time(x, ref_params, alphas, "below"),
+                  lambda: epr_limit_mass(x, ref_params, alphas)):
+        with pytest.raises(ValueError, match=f"x must be finite, got x={x}"):
+            study()
 
 
 def test_limit_mass_trend(ref_params):
