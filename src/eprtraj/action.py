@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ModelParams
+from .model import ModelParams, normalize_phase_shift
 from .wavefunction import _phase_parts, _slope_factor, amplitude_squared
 
 
@@ -42,15 +42,11 @@ class QuantumMassSample:
     m_q: float
 
 
-def _fold_half_period(w: float) -> float:
-    # shift by a multiple of pi into (-pi/2, pi/2]
-    return w - math.pi * math.ceil(w / math.pi - 0.5)
-
-
 def reduced_action_principal(x: float, params: ModelParams) -> float:
     """Reduced action folded into the principal tangent branch."""
-    num, den = _phase_parts(x, params.k, params.alpha, params.beta)
-    return params.hbar * _fold_half_period(math.atan2(num, den))
+    # the phase shifted by a multiple of pi into (-pi/2, pi/2]: half of a 2 pi reduction
+    phase = math.atan2(*_phase_parts(x, params.k, params.alpha, params.beta))
+    return params.hbar * (0.5 * normalize_phase_shift(2.0 * phase))
 
 
 def _continuous_phase(x: float, params: ModelParams) -> float:

@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -19,27 +20,33 @@ from .svgfig import render_figure
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
+    """The numbers of ``text``; an empty list is left to the study or sweep to reject."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"{flag} must be a comma-separated list of numbers: {exc}")
-    if not values:
-        raise ValueError(f"{flag} must not be empty")
-    return values
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1e-3`` as ``--flag=-1e-3``: argparse (3.11, for one) reads a
+    dash-led option value as a number only in plain decimal form, so ``-1e-3``,
+    ``-inf`` or ``-1e-3,0.5`` would be taken for an unknown option."""
+    out = [""]
+    for tok in argv:
+        if re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-([.\d]|inf|nan)", tok, re.I):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out[1:]
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=1.0)
-    common.add_argument("--m", type=float, default=1.0)
-    common.add_argument("--alpha", type=float, default=0.5)
-    common.add_argument("--beta", type=float, default=0.0)
-    common.add_argument("--k", type=float, default=math.pi / 2)
-    common.add_argument("--tau", type=float, default=0.0)
-    common.add_argument("--xmin", type=float, default=0.0)
-    common.add_argument("--xmax", type=float, default=4.0)
+    for name, default in (("hbar", 1.0), ("m", 1.0), ("alpha", 0.5), ("beta", 0.0),
+                          ("k", math.pi / 2), ("tau", 0.0), ("xmin", 0.0), ("xmax", 4.0)):
+        common.add_argument(f"--{name}", type=float, default=default)
     common.add_argument("--samples", type=int, default=2001)
     common.add_argument("--format", choices=("csv", "json", "svg"), default=None)
     common.add_argument("--out", type=Path, default=None,
@@ -127,7 +134,7 @@ def _run(args: argparse.Namespace) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

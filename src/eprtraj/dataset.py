@@ -18,9 +18,9 @@ import numpy as np
 from .action import effective_quantum_mass
 # decompose_time and wedge_bounds are not called here; perfbench/tracing.py
 # counts their calls through this module, so they stay importable from it.
-from .entanglon import (_check_study, _divergence_ratio, _time_parts,  # noqa: F401
+from .entanglon import (_divergence_ratio, _time_parts,  # noqa: F401
                         decompose_time, is_trigger_point)
-from .model import ModelParams
+from .model import LimitSeries, ModelParams
 from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION,  # noqa: F401
                          TEMPORAL_MAX, TEMPORAL_MIN, TrajectoryEvent, TurningPoints,
                          _direction_index, _dtdx_array, _time_array, _validate_range,
@@ -230,16 +230,11 @@ def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
     ``ratio`` is the divergence diagnostic t / (2mx/(hbar k (1-alpha))); it
     is only meaningful at trigger points and is None elsewhere.
     """
-    alphas = list(alphas)
-    _check_study(x, alphas, side, "limit")
-    rows = []
-    for a in alphas:
-        p = params.replace(alpha=a)
-        t = time_of_position(x, p)
-        m_q = effective_quantum_mass(x, p).m_q
+    def row(x, p):
+        t, m_q = time_of_position(x, p), effective_quantum_mass(x, p).m_q
         ratio = _divergence_ratio(t, x, p) if is_trigger_point(x, p) and x != 0.0 else None
-        rows.append((a, x, t, m_q, ratio))
-    return rows
+        return p.alpha, x, t, m_q, ratio
+    return list(LimitSeries.study(x, params, alphas, side, "limit_rows", row).values)
 
 
 def limit_csv(rows) -> str:

@@ -60,24 +60,6 @@ def _time_parts(x, params: ModelParams, xp=math):
     return c_p1, c_p2, c_ent, c_p1 + c_p2 + c_ent
 
 
-def _check_study(x: float, alphas, side: str, context: str) -> None:
-    """What every alpha -> 1 study needs: a finite ``x`` and alphas approaching 1
-    strictly monotonically from ``side``."""
-    if not math.isfinite(x):
-        raise ValueError(f"{context}: x must be finite, got x={x}")
-    if not alphas:
-        raise ValueError(f"{context}: alpha_sequence must not be empty")
-    if side == "below":
-        ok = all(a < 1.0 for a in alphas) and \
-            all(a < b for a, b in zip(alphas, alphas[1:]))
-    else:
-        ok = all(a > 1.0 for a in alphas) and \
-            all(a > b for a, b in zip(alphas, alphas[1:]))
-    if not ok:
-        raise ValueError(
-            f"{context}: alphas must approach 1 strictly monotonically from {side}")
-
-
 def _divergence_ratio(t: float, x: float, params: ModelParams) -> float:
     # t over the trigger-point divergence scale 2mx / (hbar k (1 - alpha))
     return t * params.hbar * params.k * (1.0 - params.alpha) / (2.0 * params.m * x)
@@ -96,13 +78,8 @@ def entanglon_divergence(x: float, params: ModelParams, alpha_sequence) -> Limit
         raise ValueError(
             f"x={x} is not a trigger point (cos(2kx+beta) != -1); "
             "use decompose_time for generic positions")
-    alphas = list(alpha_sequence)
-    _check_study(x, alphas, "below", "entanglon_divergence")
-    entries = []
-    for a in alphas:
-        p = params.replace(alpha=a)
-        entries.append((a, _divergence_ratio(time_of_position(x, p), x, p)))
-    return LimitSeries(tuple(entries), "below", "entanglon_time_ratio")
+    return LimitSeries.study(x, params, alpha_sequence, "below", "entanglon_time_ratio",
+                             lambda x, p: _divergence_ratio(time_of_position(x, p), x, p))
 
 
 def epr_limit_time(x: float, params: ModelParams, alpha_sequence,
@@ -114,16 +91,12 @@ def epr_limit_time(x: float, params: ModelParams, alpha_sequence,
     shrink linearly in ``|1 - alpha|``; at trigger points they diverge as
     ``1/|1 - alpha|``.
     """
-    if side not in ("below", "above"):
-        raise ValueError(f"side must be 'below' or 'above', got {side!r}")
     if side == "below" and x <= 0.0:
         raise ValueError(f"side='below' pairs with x > 0, got x={x}")
     if side == "above" and x >= 0.0:
         raise ValueError(f"side='above' pairs with x < 0, got x={x}")
-    alphas = list(alpha_sequence)
-    _check_study(x, alphas, side, "epr_limit_time")
-    entries = tuple((a, time_of_position(x, params.replace(alpha=a))) for a in alphas)
-    return LimitSeries(entries, side, "time_of_position")
+    return LimitSeries.study(x, params, alpha_sequence, side, "time_of_position",
+                             time_of_position)
 
 
 def epr_limit_mass(x: float, params: ModelParams, alpha_sequence) -> LimitSeries:
@@ -132,8 +105,5 @@ def epr_limit_mass(x: float, params: ModelParams, alpha_sequence) -> LimitSeries
     At trigger points ``|m_q|`` grows without bound along the sequence; off
     trigger points the values are recorded without an asserted limit.
     """
-    alphas = list(alpha_sequence)
-    _check_study(x, alphas, "below", "epr_limit_mass")
-    entries = tuple(
-        (a, effective_quantum_mass(x, params.replace(alpha=a)).m_q) for a in alphas)
-    return LimitSeries(entries, "below", "effective_quantum_mass")
+    return LimitSeries.study(x, params, alpha_sequence, "below", "effective_quantum_mass",
+                             lambda x, p: effective_quantum_mass(x, p).m_q)

@@ -10,6 +10,7 @@ eigenfunction with ``E = hbar**2 * k**2 / (2 * M)``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
@@ -63,6 +64,7 @@ class LimitSeries:
     ``side`` declares the approach direction: ``"below"`` means the alphas
     increase strictly toward 1 (all <= 1), ``"above"`` means they decrease
     strictly toward 1 (all >= 1).  ``quantity`` tags what the values are.
+    The sequence may end at exactly 1, where the motion coefficient vanishes.
     """
 
     entries: tuple
@@ -70,18 +72,35 @@ class LimitSeries:
     quantity: str
 
     def __post_init__(self):
-        if self.side not in ("below", "above"):
-            raise ValueError(f"side must be 'below' or 'above', got {self.side!r}")
-        if not self.entries:
+        self._check([a for a, _ in self.entries], self.side)
+
+    @staticmethod
+    def _check(alphas: list, side: str) -> None:
+        """A non-empty sequence approaching 1 strictly monotonically from ``side``."""
+        if side not in ("below", "above"):
+            raise ValueError(f"side must be 'below' or 'above', got {side!r}")
+        if not alphas:
             raise ValueError("alpha sequence must not be empty")
-        alphas = [a for a, _ in self.entries]
-        pairs = list(zip(alphas, alphas[1:]))
-        if self.side == "below":
-            if any(a >= b for a, b in pairs) or any(a > 1.0 for a in alphas):
-                raise ValueError("side='below' needs alphas strictly increasing toward 1")
-        else:
-            if any(a <= b for a, b in pairs) or any(a < 1.0 for a in alphas):
-                raise ValueError("side='above' needs alphas strictly decreasing toward 1")
+        # each alpha comes before the next, the last before 1 or at it; NaN fails
+        before = operator.lt if side == "below" else operator.gt
+        last = alphas[-1]
+        if not (all(map(before, alphas, alphas[1:])) and (before(last, 1.0) or last == 1.0)):
+            trend = "increasing" if side == "below" else "decreasing"
+            raise ValueError(f"side={side!r} needs alphas strictly {trend} toward 1 "
+                             "(a monotonic one-sided approach)")
+
+    @classmethod
+    def study(cls, x: float, params: ModelParams, alphas, side: str, quantity: str,
+              value) -> LimitSeries:
+        """``value(x, p)`` at each alpha of a checked sequence, ``p`` the params at that
+        alpha.  The checks come first: a malformed study is a ValueError even where
+        one of its alphas sits on a standing-wave node."""
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got x={x}")
+        alphas = list(alphas)
+        cls._check(alphas, side)
+        return cls(tuple((a, value(x, params.replace(alpha=a))) for a in alphas),
+                   side, quantity)
 
     @property
     def alphas(self) -> tuple:

@@ -241,6 +241,8 @@ def positions_at_time(t: float, x_min: float, x_max: float,
         raise ValueError(f"t must be finite, got {t}")
     _validate_range(x_min, x_max)
     c, dt = params.c, t - params.tau
+    if c == 0.0 and dt == 0.0:
+        raise ValueError(f"every position is at t = tau = {t} when alpha = 1")
 
     def h(xs):
         return c * xs - dt * amplitude_squared(xs, params, np)

@@ -94,5 +94,4 @@ def epr_limit_wave(x: float, params: ModelParams, alpha_sequence) -> LimitSeries
     """
     alphas = list(alpha_sequence)
     side = "above" if alphas and alphas[0] > 1.0 else "below"
-    entries = tuple((a, psi_bipolar(x, params.replace(alpha=a))) for a in alphas)
-    return LimitSeries(entries, side, "psi")
+    return LimitSeries.study(x, params, alphas, side, "psi", psi_bipolar)

@@ -404,6 +404,54 @@ def test_limit_non_finite_x_exit_2(x, capsys):
     assert f"x must be finite, got x={float(x)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    (["limit", "--side", "above", "--alphas", "1.1", "--x", "-1e-3"],
+     ["limit", "--side", "above", "--alphas", "1.1", "--x=-1e-3"]),
+    (["invert", "--t", "-1e-3", "--xmin", "-3", "--xmax", "0"],
+     ["invert", "--t=-1e-3", "--xmin=-3", "--xmax", "0"]),
+    (["trajectory", "--xmin", "-1e1", "--xmax", "-9.99", "--samples", "5"],
+     ["trajectory", "--xmin=-1e1", "--xmax=-9.99", "--samples", "5"]),
+    (["sweep", "--betas", "-1e-3,0.5", "--samples", "3"],
+     ["sweep", "--betas=-1e-3,0.5", "--samples", "3"]),
+])
+def test_negative_exponent_values_parse_as_numbers(spaced, joined, capsys):
+    # argparse alone takes "-1e-3" for an unknown option: "expected one argument"
+    assert run_main(joined) == 0
+    expected = capsys.readouterr().out
+    assert run_main(spaced) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_negative_extreme_values_parse(capsys):
+    assert run_main(["params", "--xmin", "-1e308", "--beta", "-1e-300"]) == 0
+    assert json.loads(capsys.readouterr().out)["beta"] == -1e-300
+    assert run_main(["params", "--tau", "-inf"]) == 2
+    assert "tau must be finite, got -inf" in capsys.readouterr().err
+    argv = ["limit", "--side", "below", "--alphas", "0.9", "--x", "-inf"]
+    assert run_main(argv) == 2
+    assert "x must be finite, got x=-inf" in capsys.readouterr().err
+
+
+def test_limit_sequence_ending_at_one(capsys):
+    argv = ["limit", "--side", "below", "--alphas", "0.9,1", "--x", "0.5"]
+    assert run_main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("1,0.5,0,")
+    assert run_main(argv[:-1] + ["1"]) == 3
+    assert "standing-wave node" in capsys.readouterr().err
+
+
+def test_limit_malformed_sequence_on_a_node_exit_2(capsys):
+    # 1 - 1e-8 puts x = 1 on a node, but the wrong order is reported first
+    argv = ["limit", "--side", "below", "--alphas", "0.99999999,0.9", "--x", "1"]
+    assert run_main(argv) == 2
+    assert "monotonic" in capsys.readouterr().err
+
+
+def test_invert_alpha_one_at_tau_exit_2(capsys):
+    assert run_main(["invert", "--t", "0", "--alpha", "1", "--xmax", "0.5"]) == 2
+    assert "every position is at t = tau" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_3(tmp_path):
     # alpha = 1 puts standing-wave nodes inside the sampled range
     assert run_main(["trajectory", "--alpha", "1", "--out",

@@ -9,6 +9,7 @@ from eprtraj import (
     entanglon_divergence,
     epr_limit_mass,
     epr_limit_time,
+    epr_limit_wave,
     is_trigger_point,
     time_of_position,
 )
@@ -187,3 +188,74 @@ def test_is_trigger_point(ref_params):
     assert is_trigger_point(3.0, ref_params)
     assert not is_trigger_point(0.5, ref_params)
     assert not is_trigger_point(2.0, ref_params)
+
+
+# The five alpha -> 1 entry points as f(x, params, alphas, side).  The ones with no
+# side argument study the below side (epr_limit_wave: the side its first alpha
+# lies on), so they get the side through their sequence alone.
+_STUDIES = {
+    "entanglon_divergence": lambda x, p, alphas, side: entanglon_divergence(x, p, alphas),
+    "epr_limit_time": lambda x, p, alphas, side: epr_limit_time(x, p, alphas, side),
+    "epr_limit_mass": lambda x, p, alphas, side: epr_limit_mass(x, p, alphas),
+    "epr_limit_wave": lambda x, p, alphas, side: epr_limit_wave(x, p, alphas),
+    "build_limit_rows": lambda x, p, alphas, side: build_limit_rows(p, x, alphas, side),
+}
+
+
+@pytest.mark.parametrize("study", list(_STUDIES), ids=list(_STUDIES))
+@pytest.mark.parametrize("alphas, side, x, match", [
+    ([], "below", 1.0, "empty"),
+    ([0.99, 0.9], "below", 1.0, "monotonic"),
+    ([1.001, 1.01], "above", -1.0, "monotonic"),
+    ([0.9, 1.1], "below", 1.0, "monotonic"),
+    ([1.1, 0.9], "above", -1.0, "monotonic"),
+], ids=["empty", "wrong order below", "wrong order above", "crosses 1 upward",
+        "crosses 1 downward"])
+def test_every_study_rejects_malformed_sequences(study, alphas, side, x, match, ref_params):
+    # x = +-1 are trigger points: entanglon_divergence accepts them on either side
+    with pytest.raises(ValueError, match=match):
+        _STUDIES[study](x, ref_params, alphas, side)
+
+
+@pytest.mark.parametrize("study, side, alphas, match", [
+    ("epr_limit_time", "sideways", [0.9, 0.99], "side must be 'below' or 'above'"),
+    ("build_limit_rows", "sideways", [0.9, 0.99], "side must be 'below' or 'above'"),
+    # below-only studies asked for the above side through an above-side sequence
+    ("entanglon_divergence", "above", [1.01, 1.001], "increasing"),
+    ("epr_limit_mass", "above", [1.01, 1.001], "increasing"),
+    # epr_limit_wave takes its side from the first alpha: 1 itself reads as below
+    ("epr_limit_wave", "above", [1.0, 1.01], "increasing"),
+])
+def test_every_study_rejects_a_bad_side(study, side, alphas, match, ref_params):
+    with pytest.raises(ValueError, match=match):
+        _STUDIES[study](1.0, ref_params, alphas, side)
+
+
+@pytest.mark.parametrize("study", list(_STUDIES), ids=list(_STUDIES))
+def test_every_study_checks_before_evaluating(study, ref_params):
+    # the first alpha sits on the x = 1 node (D = 1e-16); the order is wrong, and
+    # that must be the error, not the node's SingularityError
+    with pytest.raises(ValueError, match="monotonic"):
+        _STUDIES[study](1.0, ref_params, [1 - 1e-8, 0.9], "below")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_epr_limit_wave_rejects_non_finite_x(x, ref_params):
+    with pytest.raises(ValueError, match=f"x must be finite, got x={x}"):
+        epr_limit_wave(x, ref_params, [0.9, 0.99])
+
+
+def test_study_ending_at_one_gives_tau_off_trigger_points():
+    # at alpha = 1 the motion coefficient is 0, so t = tau wherever D != 0
+    p = make_params(tau=0.25)
+    assert epr_limit_time(0.5, p, [0.9, 1.0], "below").entries[-1] == (1.0, 0.25)
+    assert epr_limit_time(-0.5, p, [1.1, 1.0], "above").entries[-1] == (1.0, 0.25)
+    assert build_limit_rows(p, 0.5, [0.9, 1.0], "below")[-1][:3] == (1.0, 0.5, 0.25)
+    assert epr_limit_mass(0.5, p, [0.9, 1.0]).alphas == (0.9, 1.0)
+
+
+@pytest.mark.parametrize("study", ["entanglon_divergence", "epr_limit_time",
+                                   "epr_limit_mass", "build_limit_rows"])
+def test_study_ending_at_one_hits_the_node_at_a_trigger_point(study, ref_params):
+    with pytest.raises(SingularityError, match="standing-wave node"):
+        _STUDIES[study](1.0, ref_params, [0.9, 1.0], "below")

@@ -164,6 +164,17 @@ def test_positions_argument_validation(ref_params):
         positions_at_time(math.nan, 0.0, 1.0, ref_params)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.75])
+def test_positions_alpha_one(tau):
+    # at alpha = 1 the motion is t = tau off the nodes: h = c x - (t - tau) D is
+    # identically 0 at t = tau, and has no root elsewhere on a node-free range
+    p = make_params(alpha=1.0, tau=tau)
+    with pytest.raises(ValueError, match="every position is at t = tau"):
+        positions_at_time(tau, 0.0, 0.5, p)
+    assert positions_at_time(tau + 0.5, 0.0, 0.5, p) == []
+    assert positions_at_time(tau - 0.5, -0.5, 0.5, p) == []
+
+
 def test_wedge_reference_values(ref_params):
     wb = wedge_bounds(1.0, ref_params)
     assert wb.t_lower == pytest.approx(0.2122065907891938, rel=1e-13)
