@@ -16,15 +16,15 @@ mass ``m_q = M (1 - dQ/dE) = M (D - x D') / D^3`` follows from ``Q = E (1 -
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ModelParams, normalize_phase_shift
-from .wavefunction import _phase_parts, _slope_factor, amplitude_squared
+from .wavefunction import _slope_factor, amplitude_squared, psi_bipolar
 
 
-@dataclass(frozen=True)
-class ActionSample:
+class ActionSample(NamedTuple):
     """Principal and unwrapped reduced action at one position."""
 
     x: float
@@ -33,8 +33,7 @@ class ActionSample:
     sheet: int
 
 
-@dataclass(frozen=True)
-class QuantumMassSample:
+class QuantumMassSample(NamedTuple):
     """Quantum potential and effective quantum mass at one position."""
 
     x: float
@@ -45,7 +44,7 @@ class QuantumMassSample:
 def reduced_action_principal(x: float, params: ModelParams) -> float:
     """Reduced action folded into the principal tangent branch."""
     # the phase shifted by a multiple of pi into (-pi/2, pi/2]: half of a 2 pi reduction
-    phase = math.atan2(*_phase_parts(x, params.k, params.alpha, params.beta))
+    phase = cmath.phase(psi_bipolar(x, params))
     return params.hbar * (0.5 * normalize_phase_shift(2.0 * phase))
 
 

@@ -108,16 +108,16 @@ class TrajectoryDataset:
         return pair_events(self.turning_points)
 
 
-def _sample_grid(x_min: float, x_max: float, samples: int) -> np.ndarray:
+def _sample_grid(x_min: float, x_max: float, samples: int, params: ModelParams) -> np.ndarray:
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    _validate_range(x_min, x_max)
+    _validate_range(x_min, x_max, params)
     return np.linspace(x_min, x_max, samples)
 
 
 def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
                              samples: int) -> TrajectoryDataset:
-    xs = _sample_grid(x_min, x_max, samples)
+    xs = _sample_grid(x_min, x_max, samples, params)
     ts, slopes = _time_array(xs, params), _dtdx_array(xs, params)
     tps = find_turning_points(x_min, x_max, params)
     return TrajectoryDataset(params, xs, ts, slopes, turning_points=tps,
@@ -174,7 +174,7 @@ def build_sweep_dataset(params: ModelParams, betas, x_min: float, x_max: float,
     beta_list = list(betas)
     if not beta_list:
         raise ValueError("beta list must not be empty")
-    xs = _sample_grid(x_min, x_max, samples)
+    xs = _sample_grid(x_min, x_max, samples, params)
     t = np.array([_time_array(xs, params.replace(beta=beta)) for beta in beta_list])
     lower, upper = (np.where(xs < 0.0, math.nan, edge) for edge in _wedge_edges(xs, params))
     return SweepDataset(params, beta_list, xs, t, t_lower=lower, t_upper=upper)
@@ -207,7 +207,7 @@ def sweep_json(ds: SweepDataset) -> str:
 def build_decompose_rows(params: ModelParams, x_min: float, x_max: float,
                          samples: int) -> np.ndarray:
     """Columns x, c_p1, c_p2, c_ent, total of :func:`decompose_time`, shape (samples, 5)."""
-    xs = _sample_grid(x_min, x_max, samples)
+    xs = _sample_grid(x_min, x_max, samples, params)
     return np.column_stack((xs, *_time_parts(xs, params, np)))
 
 
@@ -234,7 +234,7 @@ def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
         t, m_q = time_of_position(x, p), effective_quantum_mass(x, p).m_q
         ratio = _divergence_ratio(t, x, p) if is_trigger_point(x, p) and x != 0.0 else None
         return p.alpha, x, t, m_q, ratio
-    return list(LimitSeries.study(x, params, alphas, side, "limit_rows", row).values)
+    return list(LimitSeries.study(x, params, alphas, side, row).values)
 
 
 def limit_csv(rows) -> str:

@@ -11,7 +11,7 @@ entanglon term diverges as alpha -> 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .action import effective_quantum_mass
 from .model import LimitSeries, ModelParams
@@ -21,8 +21,7 @@ from .wavefunction import amplitude_squared
 TRIGGER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Signed time contributions: particle 1, particle 2, entanglon."""
 
     c_p1: float
@@ -78,7 +77,7 @@ def entanglon_divergence(x: float, params: ModelParams, alpha_sequence) -> Limit
         raise ValueError(
             f"x={x} is not a trigger point (cos(2kx+beta) != -1); "
             "use decompose_time for generic positions")
-    return LimitSeries.study(x, params, alpha_sequence, "below", "entanglon_time_ratio",
+    return LimitSeries.study(x, params, alpha_sequence, "below",
                              lambda x, p: _divergence_ratio(time_of_position(x, p), x, p))
 
 
@@ -95,8 +94,7 @@ def epr_limit_time(x: float, params: ModelParams, alpha_sequence,
         raise ValueError(f"side='below' pairs with x > 0, got x={x}")
     if side == "above" and x >= 0.0:
         raise ValueError(f"side='above' pairs with x < 0, got x={x}")
-    return LimitSeries.study(x, params, alpha_sequence, side, "time_of_position",
-                             time_of_position)
+    return LimitSeries.study(x, params, alpha_sequence, side, time_of_position)
 
 
 def epr_limit_mass(x: float, params: ModelParams, alpha_sequence) -> LimitSeries:
@@ -105,5 +103,5 @@ def epr_limit_mass(x: float, params: ModelParams, alpha_sequence) -> LimitSeries
     At trigger points ``|m_q|`` grows without bound along the sequence; off
     trigger points the values are recorded without an asserted limit.
     """
-    return LimitSeries.study(x, params, alpha_sequence, "below", "effective_quantum_mass",
+    return LimitSeries.study(x, params, alpha_sequence, "below",
                              lambda x, p: effective_quantum_mass(x, p).m_q)

@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated parameter set.  Construct via :func:`validate_params`.
+    """Parameter set that checks and derives itself when constructed.
 
-    ``hbar``, ``m``, ``alpha`` and ``k`` are strictly positive, ``beta`` is
-    normalized to ``(-pi, pi]``, and ``E``, ``M`` and the motion coefficient
-    ``c`` are derived.  ``tau`` is the epoch offset of the equation of motion
-    (0 launches from the origin).
+    ``hbar``, ``m``, ``alpha`` and ``k`` must be positive and ``beta`` and
+    ``tau`` (the epoch offset of the motion: 0 launches from the origin)
+    finite, or a ValueError is raised.  ``beta`` is normalized to ``(-pi,
+    pi]``; ``E``, ``M`` and the motion coefficient ``c`` are derived.
     """
 
     hbar: float
@@ -31,26 +32,40 @@ class ModelParams:
     alpha: float
     beta: float
     k: float
-    E: float
-    M: float
+    E: float = field(init=False)
+    M: float = field(init=False)
     tau: float = 0.0
     c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # motion coefficient m (1 - alpha^2) / (hbar k), factored to stay exact as alpha -> 1
-        object.__setattr__(self, "c", self.m * (1.0 - self.alpha) * (1.0 + self.alpha)
-                           / (self.hbar * self.k))
+        hbar, m, alpha, k = self.hbar, self.m, self.alpha, self.k
+        for name, value in (("hbar", hbar), ("m", m), ("alpha", alpha), ("k", k)):
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {value}")
+        for name, value in (("beta", self.beta), ("tau", self.tau)):
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
+        composite_mass = m * (1.0 + alpha * alpha)
+        # frozen: derived fields are set past the dataclass __setattr__, never through
+        # vars(self), which would slow every later attribute read (CPython 3.11)
+        object.__setattr__(self, "beta", normalize_phase_shift(self.beta))
+        object.__setattr__(self, "M", composite_mass)
+        object.__setattr__(self, "E", hbar * hbar * k * k / (2.0 * composite_mass))
+        # m (1 - alpha^2) / (hbar k), factored to stay exact as alpha -> 1
+        object.__setattr__(self, "c", m * (1.0 - alpha) * (1.0 + alpha) / (hbar * k))
 
     def replace(self, **changes) -> "ModelParams":
-        """Copy with some raw inputs changed, re-derived by :func:`validate_params`."""
-        raw = dict(hbar=self.hbar, m=self.m, alpha=self.alpha, beta=self.beta,
-                   k=self.k, tau=self.tau)
-        raw.update(changes)
-        return validate_params(**raw)
+        """Copy with some raw inputs changed, checked and derived again: faster than
+        ``dataclasses.replace`` (studies call it per alpha); other names raise TypeError."""
+        inputs = [*map(changes.pop, _INPUTS, _get_inputs(self))]
+        return ModelParams(*inputs, **changes)
 
 
-@dataclass(frozen=True)
-class ParticlePositions:
+_INPUTS = tuple(f.name for f in fields(ModelParams) if f.init)
+_get_inputs = operator.attrgetter(*_INPUTS)
+
+
+class ParticlePositions(NamedTuple):
     """Simultaneous positions of the two recoiling particles."""
 
     x1: float
@@ -63,13 +78,12 @@ class LimitSeries:
 
     ``side`` declares the approach direction: ``"below"`` means the alphas
     increase strictly toward 1 (all <= 1), ``"above"`` means they decrease
-    strictly toward 1 (all >= 1).  ``quantity`` tags what the values are.
+    strictly toward 1 (all >= 1).
     The sequence may end at exactly 1, where the motion coefficient vanishes.
     """
 
     entries: tuple
     side: str
-    quantity: str
 
     def __post_init__(self):
         self._check([a for a, _ in self.entries], self.side)
@@ -90,8 +104,7 @@ class LimitSeries:
                              "(a monotonic one-sided approach)")
 
     @classmethod
-    def study(cls, x: float, params: ModelParams, alphas, side: str, quantity: str,
-              value) -> LimitSeries:
+    def study(cls, x: float, params: ModelParams, alphas, side: str, value) -> LimitSeries:
         """``value(x, p)`` at each alpha of a checked sequence, ``p`` the params at that
         alpha.  The checks come first: a malformed study is a ValueError even where
         one of its alphas sits on a standing-wave node."""
@@ -99,8 +112,7 @@ class LimitSeries:
             raise ValueError(f"x must be finite, got x={x}")
         alphas = list(alphas)
         cls._check(alphas, side)
-        return cls(tuple((a, value(x, params.replace(alpha=a))) for a in alphas),
-                   side, quantity)
+        return cls(tuple((a, value(x, params.replace(alpha=a))) for a in alphas), side)
 
     @property
     def alphas(self) -> tuple:
@@ -118,22 +130,8 @@ def normalize_phase_shift(beta: float) -> float:
 
 def validate_params(hbar: float, m: float, alpha: float, beta: float, k: float,
                     tau: float = 0.0) -> ModelParams:
-    """Validate raw inputs and derive ``E``, ``M`` and the normalized ``beta``.
-
-    Raises:
-        ValueError: if any of ``hbar``, ``m``, ``alpha``, ``k`` is not a
-            strictly positive finite number, or ``beta``/``tau`` is not finite.
-    """
-    for name, value in (("hbar", hbar), ("m", m), ("alpha", alpha), ("k", k)):
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    for name, value in (("beta", beta), ("tau", tau)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    composite_mass = m * (1.0 + alpha * alpha)
-    energy = hbar * hbar * k * k / (2.0 * composite_mass)
-    return ModelParams(hbar=hbar, m=m, alpha=alpha, beta=normalize_phase_shift(beta),
-                       k=k, E=energy, M=composite_mass, tau=tau)
+    """The :class:`ModelParams` of these raw inputs; raises ValueError as it does."""
+    return ModelParams(hbar, m, alpha, beta, k, tau)
 
 
 def energy_from_wavenumber(k: float, params: ModelParams) -> float:

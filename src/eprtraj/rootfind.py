@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+ROOT_XTOL = 1e-10
 
-def bisect_root(f, lo, hi, xtol: float = 1e-10) -> np.ndarray:
+
+def bisect_root(f, lo, hi, xtol: float = ROOT_XTOL) -> np.ndarray:
     """Midpoints of the brackets ``[lo[i], hi[i]]`` narrowed to width ``xtol``.
 
     ``f`` maps arrays to arrays and has strictly opposite signs at ``lo[i]``

@@ -47,7 +47,7 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
     dashes = ["none", "6 5"] if figure_id == 1 else ["none"] * len(betas)
     colors = ["#1f4e9c", "#b23434"] if figure_id == 1 else list(_FIG2_COLORS)
 
-    xs = _sample_grid(x_min, x_max, samples)
+    xs = _sample_grid(x_min, x_max, samples, params)
     curves = [params.replace(beta=beta) for beta in betas]
     times = [trajectory._time_array(xs, p) for p in curves]
 

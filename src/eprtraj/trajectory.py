@@ -17,12 +17,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfiniteVelocityError
 from .model import ModelParams
-from .rootfind import bisect_root
+from .rootfind import ROOT_XTOL, bisect_root
 from .wavefunction import _slope_factor, amplitude_squared
 
 FORWARD = "forward"
@@ -39,13 +40,8 @@ _EVENT_KINDS = {TEMPORAL_MIN: CREATION, TEMPORAL_MAX: ANNIHILATION}
 # Indexed by _direction_index: 1 forward, -1 retrograde, 0 turning.
 _DIRECTIONS = (TURNING, FORWARD, RETROGRADE)
 
-# |dt/dx| below this is treated as an exact turning point by
-# mechanical_momentum (refined turning points land around 1e-9).
-DTDX_TURNING_EPS = 1e-8
 
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     """One sample of the equation of motion."""
 
     x: float
@@ -54,8 +50,7 @@ class TrajectoryPoint:
     direction: str
 
 
-@dataclass(frozen=True)
-class TurningPoint:
+class TurningPoint(NamedTuple):
     """Position where dt/dx changes sign.
 
     ``temporal_max`` reads as an annihilation of two branches,
@@ -90,8 +85,7 @@ class TurningPoints:
         return map(TurningPoint, self.x.tolist(), self.t.tolist(), kinds)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Maximal x-interval of single-direction motion."""
 
     x_start: float
@@ -100,16 +94,14 @@ class Segment:
     branch_id: int
 
 
-@dataclass(frozen=True)
-class WedgeBounds:
+class WedgeBounds(NamedTuple):
     """Envelope times bounding the trajectory at one position."""
 
     t_lower: float
     t_upper: float
 
 
-@dataclass(frozen=True)
-class TrajectoryEvent:
+class TrajectoryEvent(NamedTuple):
     """Creation or annihilation event at a turning point.
 
     ``branch_ids`` are the indices of the two adjacent segments (as produced
@@ -157,9 +149,12 @@ def trajectory_point(x: float, params: ModelParams) -> TrajectoryPoint:
                            direction=_DIRECTIONS[_direction_index(slope)])
 
 
-def _validate_range(x_min: float, x_max: float) -> None:
+def _validate_range(x_min: float, x_max: float, params: ModelParams) -> None:
+    """Finite ``x_min < x_max`` on which the phase ``2kx + beta`` stays finite."""
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+    if not all(math.isfinite(2.0 * params.k * x + params.beta) for x in (x_min, x_max)):
+        raise ValueError(f"the phase 2kx + beta overflows on [{x_min}, {x_max}]")
 
 
 def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
@@ -185,7 +180,7 @@ def _bracketed_roots(f, x_min: float, x_max: float, params: ModelParams, cuts):
     amplitude_squared(edges, params, np, True)
     fe = f(edges)
     i = np.flatnonzero(fe[:-1] * fe[1:] < 0.0)
-    return edges, fe, i, bisect_root(f, edges[i], edges[i + 1], xtol=1e-10)
+    return edges, fe, i, bisect_root(f, edges[i], edges[i + 1])
 
 
 def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> TurningPoints:
@@ -196,7 +191,7 @@ def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> Turn
     is monotone between consecutive zeros of the cosine and ``x = 0``: each
     such piece holds at most one turning point.
     """
-    _validate_range(x_min, x_max)
+    _validate_range(x_min, x_max, params)
 
     def g(xs):  # D^2 dt/dx
         return params.c * _slope_factor(xs, params, amplitude_squared(xs, params, np), np)
@@ -239,7 +234,7 @@ def positions_at_time(t: float, x_min: float, x_max: float,
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    _validate_range(x_min, x_max)
+    _validate_range(x_min, x_max, params)
     c, dt = params.c, t - params.tau
     if c == 0.0 and dt == 0.0:
         raise ValueError(f"every position is at t = tau = {t} when alpha = 1")
@@ -317,10 +312,11 @@ def mechanical_momentum(x: float, params: ModelParams) -> float:
     Differs from the conjugate momentum except in the free-particle limit.
     At turning points the velocity diverges (the trajectory is superluminal
     there) while the conjugate momentum stays finite; those points raise
-    :class:`InfiniteVelocityError`.
+    :class:`InfiniteVelocityError`: dt/dx is 0 or changes sign within the root
+    tolerance ``ROOT_XTOL`` of ``x``.
     """
-    slope = dtdx(x, params)
-    if abs(slope) < DTDX_TURNING_EPS:
-        raise InfiniteVelocityError(
-            f"dt/dx is {slope:.3e} at x={x}: velocity diverges at the turning point")
-    return params.M / slope
+    slopes = [dtdx(x + dx, params) for dx in (-ROOT_XTOL, 0.0, ROOT_XTOL)]
+    if {_direction_index(s) for s in slopes} not in ({1}, {-1}):
+        raise InfiniteVelocityError(f"dt/dx is {slopes[1]:.3e} at x={x}, a turning point to "
+                                    f"within {ROOT_XTOL:g}: the velocity diverges there")
+    return params.M / slopes[1]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,19 +21,12 @@ from .model import LimitSeries, ModelParams
 MIN_AMPLITUDE_SQUARED = 1e-14
 
 
-@dataclass(frozen=True)
-class PolarForm:
+class PolarForm(NamedTuple):
     """Amplitude/phase representation of the molecule wave function at a point."""
 
     amplitude: float
     phase: float
     amplitude_squared: float
-
-
-def _phase_parts(x: float, k: float, alpha: float, beta: float) -> tuple[float, float]:
-    num = math.sin(k * x) - alpha * math.sin(k * x + beta)
-    den = math.cos(k * x) + alpha * math.cos(k * x + beta)
-    return num, den
 
 
 def amplitude_squared(x, params: ModelParams, xp=math, checked: bool = False):
@@ -80,8 +73,7 @@ def psi_polar(x: float, params: ModelParams) -> PolarForm:
     across cuts is handled by the action module, not here.
     """
     d = amplitude_squared(x, params)
-    num, den = _phase_parts(x, params.k, params.alpha, params.beta)
-    return PolarForm(amplitude=math.sqrt(d), phase=math.atan2(num, den),
+    return PolarForm(amplitude=math.sqrt(d), phase=cmath.phase(psi_bipolar(x, params)),
                      amplitude_squared=d)
 
 
@@ -94,4 +86,4 @@ def epr_limit_wave(x: float, params: ModelParams, alpha_sequence) -> LimitSeries
     """
     alphas = list(alpha_sequence)
     side = "above" if alphas and alphas[0] > 1.0 else "below"
-    return LimitSeries.study(x, params, alphas, side, "psi", psi_bipolar)
+    return LimitSeries.study(x, params, alphas, side, psi_bipolar)

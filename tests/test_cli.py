@@ -432,6 +432,21 @@ def test_negative_extreme_values_parse(capsys):
     assert "x must be finite, got x=-inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--xmin=-1e308"],
+    ["sweep", "--betas", "0,1", "--xmax", "1e308"],
+    ["figure", "2", "--xmin=-1e308"],
+    ["decompose", "--xmin=-1e308"],
+    ["invert", "--t", "1", "--xmin=-1e308", "--xmax", "0"],
+    ["trajectory", "--xmin", "1e307", "--xmax", "1.0001e307", "--k", "10", "--samples", "3"],
+])
+def test_range_with_overflowing_phase_exit_2(argv, capsys):
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the phase 2kx + beta overflows on [")
+    assert err.count("\n") == 1
+
+
 def test_limit_sequence_ending_at_one(capsys):
     argv = ["limit", "--side", "below", "--alphas", "0.9,1", "--x", "0.5"]
     assert run_main(argv) == 0

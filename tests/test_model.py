@@ -1,10 +1,23 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from eprtraj import (
+    ActionSample,
+    Decomposition,
     LimitSeries,
+    ModelParams,
+    ParticlePositions,
+    PolarForm,
+    QuantumMassSample,
+    Segment,
+    TrajectoryEvent,
+    TrajectoryPoint,
+    TurningPoint,
+    WedgeBounds,
     energy_from_wavenumber,
     normalize_phase_shift,
     particle_positions,
@@ -57,6 +70,77 @@ def test_beta_normalization(raw, expected):
 def test_positivity_validation(field, args):
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         validate_params(*args)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("hbar", -1.0, "hbar must be positive, got -1.0"),
+    ("m", 0.0, "m must be positive, got 0.0"),
+    ("alpha", math.nan, "alpha must be positive, got nan"),
+    ("alpha", math.inf, "alpha must be positive, got inf"),
+    ("k", -math.inf, "k must be positive, got -inf"),
+    ("beta", math.nan, "beta must be finite, got nan"),
+    ("tau", -math.inf, "tau must be finite, got -inf"),
+])
+def test_model_params_constructor_validates(field, value, message):
+    raw = dict(hbar=1.0, m=1.0, alpha=0.5, beta=0.0, k=1.0, tau=0.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModelParams(**{**raw, field: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_params(**{**raw, field: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModelParams(**raw).replace(**{field: value})
+
+
+def test_model_params_constructor_derives():
+    p = ModelParams(hbar=1.0, m=1.0, alpha=0.5, beta=3 * math.pi / 2, k=math.pi / 2)
+    assert p == validate_params(1.0, 1.0, 0.5, 3 * math.pi / 2, math.pi / 2)
+    assert (p.M, p.beta, p.tau) == (1.25, normalize_phase_shift(3 * math.pi / 2), 0.0)
+    for derived in ("E", "M"):
+        with pytest.raises(TypeError, match=derived):
+            ModelParams(1.0, 1.0, 0.5, 0.0, 1.0, **{derived: 1.0})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.alpha = 0.7
+    assert repr(p) == ("ModelParams(hbar=1.0, m=1.0, alpha=0.5, beta=-1.5707963267948966, "
+                       "k=1.5707963267948966, E=0.9869604401089358, M=1.25, tau=0.0)")
+
+
+def test_replace_validates_and_derives_again():
+    p = make_params(alpha=0.5, beta=0.3, k=2.5, hbar=0.7, m=3.0, tau=1.5)
+    with pytest.raises(ValueError, match="alpha must be positive, got -1"):
+        p.replace(alpha=-1)
+    with pytest.raises(TypeError, match="E"):
+        p.replace(E=2.0)
+    for changes in ({"alpha": 1 - 1e-9}, {"alpha": 1.0}, {"k": 0.1, "beta": 7.0}, {"m": 2.0},
+                    {"hbar": 3.0, "tau": -2.0}, {}):
+        q, fresh = p.replace(**changes), make_params(**{
+            "alpha": p.alpha, "beta": p.beta, "k": p.k, "hbar": p.hbar, "m": p.m, "tau": p.tau,
+            **changes})
+        assert (q.E, q.M, q.c, q.beta) == (fresh.E, fresh.M, fresh.c, fresh.beta)
+        assert q == fresh and repr(q) == repr(fresh)
+
+
+@pytest.mark.parametrize("record, text", [
+    (TrajectoryPoint(1.0, 2.0, -0.5, "retrograde"),
+     "TrajectoryPoint(x=1.0, t=2.0, dtdx=-0.5, direction='retrograde')"),
+    (TurningPoint(1.0, 2.0, "temporal_max"), "TurningPoint(x=1.0, t=2.0, kind='temporal_max')"),
+    (Segment(0.0, 1.0, "forward", 0),
+     "Segment(x_start=0.0, x_end=1.0, direction='forward', branch_id=0)"),
+    (WedgeBounds(0.5, 1.5), "WedgeBounds(t_lower=0.5, t_upper=1.5)"),
+    (TrajectoryEvent("creation", 1.0, 2.0, (1, 2)),
+     "TrajectoryEvent(kind='creation', x=1.0, t=2.0, branch_ids=(1, 2))"),
+    (ActionSample(1.0, 0.5, 3.6, 1),
+     "ActionSample(x=1.0, w_principal=0.5, w_unwrapped=3.6, sheet=1)"),
+    (QuantumMassSample(1.0, -0.5, 2.0), "QuantumMassSample(x=1.0, q=-0.5, m_q=2.0)"),
+    (Decomposition(1.0, -0.25, 0.5, 1.25),
+     "Decomposition(c_p1=1.0, c_p2=-0.25, c_ent=0.5, total=1.25)"),
+    (PolarForm(1.5, 0.0, 2.25), "PolarForm(amplitude=1.5, phase=0.0, amplitude_squared=2.25)"),
+    (ParticlePositions(2.0, -0.5), "ParticlePositions(x1=2.0, x2=-0.5)"),
+])
+def test_records_are_immutable_values(record, text):
+    assert repr(record) == text
+    assert record == type(record)(*record) and hash(record) == hash(type(record)(*record))
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], 0.0)
 
 
 def test_beta_must_be_finite():
@@ -119,13 +203,13 @@ def test_relative_position_conserved():
 
 def test_limit_series_validation():
     with pytest.raises(ValueError, match="empty"):
-        LimitSeries((), "below", "t")
+        LimitSeries((), "below")
     with pytest.raises(ValueError, match="side"):
-        LimitSeries(((0.9, 1.0),), "sideways", "t")
+        LimitSeries(((0.9, 1.0),), "sideways")
     with pytest.raises(ValueError, match="increasing"):
-        LimitSeries(((0.9, 1.0), (0.8, 2.0)), "below", "t")
+        LimitSeries(((0.9, 1.0), (0.8, 2.0)), "below")
     with pytest.raises(ValueError, match="decreasing"):
-        LimitSeries(((1.1, 1.0), (1.2, 2.0)), "above", "t")
-    series = LimitSeries(((0.9, 1.0), (0.99, 2.0)), "below", "t")
+        LimitSeries(((1.1, 1.0), (1.2, 2.0)), "above")
+    series = LimitSeries(((0.9, 1.0), (0.99, 2.0)), "below")
     assert series.alphas == (0.9, 0.99)
     assert series.values == (1.0, 2.0)

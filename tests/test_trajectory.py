@@ -289,3 +289,18 @@ def test_mechanical_momentum_infinite_velocity(ref_params):
         mechanical_momentum(tp.x, ref_params)
     # the conjugate momentum stays finite at the same point
     assert math.isfinite(conjugate_momentum(tp.x, ref_params))
+
+
+@pytest.mark.parametrize("k, beta, x_max, count", [(math.pi / 2, 0.0, 40.0, 40),
+                                                   (200.0, 0.3, 100.0, 12732)])
+def test_mechanical_momentum_raises_at_every_turning_point(k, beta, x_max, count):
+    # |dt/dx| at a root refined to 1e-10 can be far above any fixed epsilon;
+    # what marks the root is the sign change within the tolerance
+    p = make_params(k=k, beta=beta)
+    xs = find_turning_points(0.0, x_max, p).x.tolist()
+    assert len(xs) == count
+    for x in xs:
+        with pytest.raises(InfiniteVelocityError, match="turning point"):
+            mechanical_momentum(x, p)
+        assert math.isfinite(mechanical_momentum(x - 1e-6, p))
+        assert math.isfinite(mechanical_momentum(x + 1e-6, p))

@@ -59,6 +59,17 @@ def test_polar_equals_bipolar(alpha, beta):
         assert abs(recon - psi_bipolar(x, p)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1 - 1e-9, 1.0, 2.5])
+@pytest.mark.parametrize("beta", [0.0, 0.7, -math.pi / 2, math.pi])
+def test_polar_phase_matches_atan2_reference(alpha, beta):
+    # the phase is read off psi_bipolar; the reference writes out its parts
+    p = make_params(alpha=alpha, beta=beta, k=1.3)
+    for x in np.linspace(-12, 12, 1201).tolist() + [0.0, 1e-300, -7.5e-9]:
+        num = math.sin(p.k * x) - alpha * math.sin(p.k * x + p.beta)
+        den = math.cos(p.k * x) + alpha * math.cos(p.k * x + p.beta)
+        assert psi_polar(x, p).phase == math.atan2(num, den)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("beta", [0.0, math.pi / 2])
 def test_eigenfunction_residual(alpha, beta):
