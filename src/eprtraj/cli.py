@@ -7,6 +7,7 @@ failures (standing-wave nodes, turning-point singularities).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -85,50 +86,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
+def _emit(text: str, handle) -> None:
+    handle.write(text)
 
 
-# command: (builder, {format: writer}); the first format is the default.  Names
-# are looked up when a command runs, so wrappers installed after import (as
-# perfbench/tracing.py installs them) see every call.
+# command: (builder, {format: writer(args, params, data, write)}); the first format
+# is the default.  Names are looked up when a command runs, so wrappers installed
+# after import (as perfbench/tracing.py installs them) see every call.
 _COMMANDS = {
     "trajectory": (lambda a, p: ds.build_trajectory_dataset(p, a.xmin, a.xmax, a.samples),
-                   {"csv": lambda a, p, data: ds.trajectory_csv(data),
-                    "json": lambda a, p, data: ds.trajectory_json(data)}),
+                   {"csv": lambda a, p, data, w: ds.trajectory_csv(data, w),
+                    "json": lambda a, p, data, w: ds.trajectory_json(data, w)}),
     "sweep": (lambda a, p: ds.build_sweep_dataset(p, _parse_float_list(a.betas, "--betas"),
                                                   a.xmin, a.xmax, a.samples),
-              {"csv": lambda a, p, data: ds.sweep_csv(data),
-               "json": lambda a, p, data: ds.sweep_json(data)}),
+              {"csv": lambda a, p, data, w: ds.sweep_csv(data, w),
+               "json": lambda a, p, data, w: ds.sweep_json(data, w)}),
     "figure": (lambda a, p: render_figure(a.figure_id, p, a.xmin, a.xmax, a.samples,
                                           markers=a.markers),
-               {"svg": lambda a, p, text: text}),
+               {"svg": lambda a, p, text, w: w(text)}),
     "decompose": (lambda a, p: ds.build_decompose_rows(p, a.xmin, a.xmax, a.samples),
-                  {"csv": lambda a, p, rows: ds.decompose_csv(rows),
-                   "json": lambda a, p, rows: ds.decompose_json(p, rows)}),
+                  {"csv": lambda a, p, rows, w: ds.decompose_csv(rows, w),
+                   "json": lambda a, p, rows, w: ds.decompose_json(p, rows, w)}),
     "limit": (lambda a, p: ds.build_limit_rows(
                   p, a.x, _parse_float_list(a.alphas, "--alphas"), a.side),
-              {"csv": lambda a, p, rows: ds.limit_csv(rows),
-               "json": lambda a, p, rows: ds.limit_json(p, a.side, rows)}),
+              {"csv": lambda a, p, rows, w: ds.limit_csv(rows, w),
+               "json": lambda a, p, rows, w: ds.limit_json(p, a.side, rows, w)}),
     "invert": (lambda a, p: ds.build_invert_positions(p, a.t, a.xmin, a.xmax),
-               {"csv": lambda a, p, xs: ds.invert_csv(xs),
-                "json": lambda a, p, xs: ds.invert_json(p, a.t, xs)}),
+               {"csv": lambda a, p, xs, w: ds.invert_csv(xs, w),
+                "json": lambda a, p, xs, w: ds.invert_json(p, a.t, xs, w)}),
     "params": (lambda a, p: ds.params_dict(p),
-               {"json": lambda a, p, doc: json.dumps(doc, indent=2) + "\n"}),
+               {"json": lambda a, p, doc, w: w(json.dumps(doc, indent=2) + "\n")}),
 }
 
 
 def _run(args: argparse.Namespace) -> None:
+    """Build, then stream chunks to ``--out`` or stdout: a failed build makes no file."""
     params = validate_params(args.hbar, args.m, args.alpha, args.beta, args.k,
                              args.tau)
     build, writers = _COMMANDS[args.command]
     fmt = args.format or next(iter(writers))
     if fmt not in writers:
         raise ValueError(f"{args.command} emits {' or '.join(writers)}, got format {fmt!r}")
-    _emit(writers[fmt](args, params, build(args, params)), args.out)
+    data = build(args, params)
+    with (args.out.open("w") if args.out else contextlib.nullcontext(sys.stdout)) as handle:
+        writers[fmt](args, params, data, lambda text: _emit(text, handle))
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,9 @@
 """Dataset assembly and CSV/JSON serialization.
 
-Datasets are numpy columns.  Writers repeat one ``%`` template per row and
-fill a chunk of rows per ``%`` operation, with no Python loop over the rows.
-CSV numbers carry 9 significant digits with C-locale formatting; JSON floats
-use Python's shortest round-trip representation, so a re-read reproduces
-every value bit-identically.
+Datasets are numpy columns.  Writers call ``write`` once per chunk of 2**15
+rows, built with no Python loop over the rows.  CSV numbers carry 9 significant
+digits with C-locale formatting; JSON floats use Python's shortest round-trip
+representation, so a re-read reproduces every value bit-identically.
 """
 
 from __future__ import annotations
@@ -41,46 +40,56 @@ def params_dict(params: ModelParams) -> dict:
             "tau": params.tau}
 
 
-def _fill(template: str, *columns) -> str:
-    """``template % row`` for every row of the equal-length ``columns``, joined.
-
-    Each chunk of rows is one ``%`` on the template repeated, its cells taken
-    from an object buffer.  ``"%.9g" % v`` equals :func:`fmt9` of ``v``.
-    """
+def _fill(write, template: str, *columns, head: str = "") -> None:
+    """``write`` ``template % row`` for every row of the equal-length ``columns``, one call
+    per chunk of 2**15 rows (``head`` joined onto the first): one ``%`` on the repeated
+    template, cells from an object buffer.  ``"%.9g" % v`` equals :func:`fmt9` of ``v``."""
     n = len(columns[0])
     buf = np.empty((min(n, _CHUNK_ROWS), len(columns)), dtype=object)
-    parts = []
-    for lo in range(0, n, _CHUNK_ROWS):
+    for lo in range(0, max(n, 1), _CHUNK_ROWS):  # no rows: one call with ``head``
         m = min(n - lo, _CHUNK_ROWS)
         for j, column in enumerate(columns):
             buf[:m, j] = column[lo:lo + m]
-        parts.append((template * m) % tuple(buf[:m].ravel()))
-    return "".join(parts)
+        write(head + (template * m) % tuple(buf[:m].ravel()))
+        head = ""
 
 
-def _json_num(values) -> np.ndarray:
-    """Floats as ``json.dumps`` writes them (repr, or NaN/Infinity/-Infinity),
-    rendered once into an object array of text for ``%s`` cells."""
-    values = np.asarray(values, dtype=float)
-    cells = np.fromiter(map(repr, values.ravel().tolist()), dtype=object,
-                        count=values.size).reshape(values.shape)
+def _json_cells(values) -> np.ndarray:
+    """A column as ``json.dumps`` writes its cells, in an object array: text (an object
+    array) as it is, integers by ``str``, floats by repr or NaN/Infinity/-Infinity."""
+    values = np.asarray(values)
+    if values.dtype == object:
+        return values
+    cells = np.fromiter(map(repr, values.tolist()), dtype=object, count=values.size)
     bad = ~np.isfinite(values)
     cells[bad] = [json.dumps(v) for v in values[bad].tolist()]
     return cells
 
 
-def _json_list(record: str, *columns, indent: str = "  ") -> str:
-    """One ``record`` per row, laid out as ``json.dumps(indent=2)`` lays out a
-    list whose closing bracket sits at ``indent``."""
-    if not len(columns[0]):
-        return "[]"
-    return "[\n" + _fill(record + ",\n", *columns)[:-2] + "\n" + indent + "]"
+def _json_list(write, head: str, record: str, *columns, indent="  ", tail="") -> None:
+    """``write`` ``head``, one ``record`` (a ``%s`` per column) per row as ``json.dumps(
+    indent=2)`` lays out a list closing at ``indent``, then ``tail``.  Each chunk is one
+    ``join`` of an object buffer: the record's pieces in its even columns (the first and
+    last also open and close the list), the cells in the odd ones."""
+    n = len(columns[0])
+    if not n:
+        return write(head + "[]" + tail)
+    pieces = record.split("%s")
+    buf = np.empty((min(n, _CHUNK_ROWS), 2 * len(pieces) - 1), dtype=object)
+    buf[:, ::2] = np.array(pieces[:-1] + [pieces[-1] + ",\n"], dtype=object)
+    for lo in range(0, n, _CHUNK_ROWS):
+        m = min(n - lo, _CHUNK_ROWS)
+        for j, column in enumerate(columns):
+            buf[:m, 2 * j + 1] = _json_cells(column[lo:lo + m])
+        buf[0, 0] = (head + "[\n" if lo == 0 else "") + pieces[0]
+        if lo + m == n:
+            buf[m - 1, -1] = pieces[-1] + "\n" + indent + "]" + tail
+        write("".join(buf[:m].ravel().tolist()))
 
 
-def _json_doc(params: ModelParams, **lists: str) -> str:
-    """``json.dumps({"params": ..., **lists}, indent=2) + "\\n"``, lists pre-rendered."""
-    head = json.dumps({"params": params_dict(params)}, indent=2)[:-2]
-    return head + "".join(f',\n  "{key}": {text}' for key, text in lists.items()) + "\n}\n"
+def _json_head(params: ModelParams) -> str:
+    """``json.dumps({"params": ...}, indent=2)`` up to the params' closing brace."""
+    return json.dumps({"params": params_dict(params)}, indent=2)[:-2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,34 +133,31 @@ def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
                              branch_id=np.searchsorted(tps.x, xs))
 
 
-def trajectory_csv(ds: TrajectoryDataset) -> str:
-    return "x,t,dtdx,branch_id,direction\n" + _fill(
-        "%.9g,%.9g,%.9g,%d,%s\n", ds.x, ds.t, ds.dtdx, ds.branch_id, ds.direction)
+def trajectory_csv(ds: TrajectoryDataset, write) -> None:
+    _fill(write, "%.9g,%.9g,%.9g,%d,%s\n", ds.x, ds.t, ds.dtdx, ds.branch_id, ds.direction,
+          head="x,t,dtdx,branch_id,direction\n")
 
 
 _ROW_JSON = ('    {\n      "x": %s,\n      "t": %s,\n      "dtdx": %s,\n'
-             '      "branch_id": %d,\n      "direction": "%s"\n    }')
+             '      "branch_id": %s,\n      "direction": "%s"\n    }')
 _TURNING_JSON = '    {\n      "x": %s,\n      "t": %s,\n      "kind": "%s"\n    }'
 _EVENT_JSON = ('    {\n      "kind": "%s",\n      "x": %s,\n      "t": %s,\n'
-               '      "branch_ids": [\n        %d,\n        %d\n      ]\n    }')
+               '      "branch_ids": [\n        %s,\n        %s\n      ]\n    }')
 
 
-def trajectory_json(ds: TrajectoryDataset) -> str:
-    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``, one template per record:
-    the indenting encoder's token list takes many times the memory of the text.
-    Event ``i`` sits on turning point ``i`` and joins branches ``i`` and ``i + 1``.
-    """
+def trajectory_json(ds: TrajectoryDataset, write) -> None:
+    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``.  Event ``i`` sits on turning
+    point ``i``, joins branches ``i`` and ``i + 1`` and shares its rendered cells."""
     tps = ds.turning_points
-    x, t, top = _json_num(tps.x), _json_num(tps.t), tps.maximum
-    ids = np.arange(len(tps))
-    return _json_doc(
-        ds.params,
-        rows=_json_list(_ROW_JSON, _json_num(ds.x), _json_num(ds.t), _json_num(ds.dtdx),
-                        ds.branch_id, ds.direction),
-        turning_points=_json_list(_TURNING_JSON, x, t,
-                                  np.where(top, TEMPORAL_MAX, TEMPORAL_MIN)),
-        events=_json_list(_EVENT_JSON, np.where(top, ANNIHILATION, CREATION), x, t, ids,
-                          ids + 1))
+    x, t, top = _json_cells(tps.x), _json_cells(tps.t), tps.maximum.astype(np.intp)
+    ids = _json_cells(np.arange(len(tps) + 1))
+    _json_list(write, _json_head(ds.params) + ',\n  "rows": ', _ROW_JSON,
+               ds.x, ds.t, ds.dtdx, ds.branch_id, ds.direction)
+    _json_list(write, ',\n  "turning_points": ', _TURNING_JSON, x, t,
+               np.array((TEMPORAL_MIN, TEMPORAL_MAX), dtype=object)[top])
+    _json_list(write, ',\n  "events": ', _EVENT_JSON,
+               np.array((CREATION, ANNIHILATION), dtype=object)[top], x, t, ids[:-1], ids[1:],
+               tail="\n}\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,28 +186,30 @@ def build_sweep_dataset(params: ModelParams, betas, x_min: float, x_max: float,
     return SweepDataset(params, beta_list, xs, t, t_lower=lower, t_upper=upper)
 
 
-def sweep_csv(ds: SweepDataset) -> str:
-    xs = _fill("%.9g\n", ds.xs).split("\n")[:-1]
-    wedge = _fill("%.9g,%.9g\n", ds.t_lower, ds.t_upper).split("\n")[:-1]
-    return "beta,x,t,t_lower,t_upper\n" + "".join(
-        _fill(fmt9(beta) + ",%s,%.9g,%s\n", xs, t, wedge) for beta, t in zip(ds.betas, ds.t))
+def sweep_csv(ds: SweepDataset, write) -> None:
+    xs = list(map("%.9g".__mod__, ds.xs.tolist()))
+    wedge = list(map("%.9g,%.9g".__mod__, zip(ds.t_lower.tolist(), ds.t_upper.tolist())))
+    for i, (beta, t) in enumerate(zip(ds.betas, ds.t)):
+        _fill(write, fmt9(beta) + ",%s,%.9g,%s\n", xs, t, wedge,
+              head="" if i else "beta,x,t,t_lower,t_upper\n")
 
 
-_CURVE_JSON = '    {\n      "beta": %s,\n      "rows": %s\n    }'
 _POINT_JSON = '        {\n          "x": %s,\n          "t": %s\n        }'
 _WEDGE_JSON = '    {\n      "x": %s,\n      "t_lower": %s,\n      "t_upper": %s\n    }'
 
 
-def sweep_json(ds: SweepDataset) -> str:
-    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``; the wedge lists x >= 0 only."""
-    x = _json_num(ds.xs)
-    rows = [_json_list(_POINT_JSON, x, _json_num(t), indent="      ") for t in ds.t]
+def sweep_json(ds: SweepDataset, write) -> None:
+    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``; the wedge lists x >= 0
+    only.  Each curve's rows are written as they are rendered; ``x`` once for all."""
+    x = _json_cells(ds.xs)
+    head = _json_head(ds.params) + ',\n  "curves": [\n'
+    for beta, t in zip(_json_cells(ds.betas), ds.t):
+        _json_list(write, f'{head}    {{\n      "beta": {beta},\n      "rows": ', _POINT_JSON,
+                   x, t, indent="      ")
+        head = "\n    },\n"
     keep = ds.xs >= 0.0
-    return _json_doc(
-        ds.params,
-        curves=_json_list(_CURVE_JSON, _json_num(ds.betas), rows),
-        wedge=_json_list(_WEDGE_JSON, x[keep], _json_num(ds.t_lower[keep]),
-                         _json_num(ds.t_upper[keep])))
+    _json_list(write, '\n    }\n  ],\n  "wedge": ', _WEDGE_JSON, x[keep], ds.t_lower[keep],
+               ds.t_upper[keep], tail="\n}\n")
 
 
 def build_decompose_rows(params: ModelParams, x_min: float, x_max: float,
@@ -211,17 +219,18 @@ def build_decompose_rows(params: ModelParams, x_min: float, x_max: float,
     return np.column_stack((xs, *_time_parts(xs, params, np)))
 
 
-def decompose_csv(rows: np.ndarray) -> str:
-    return "x,c_p1,c_p2,c_ent,total\n" + _fill("%.9g,%.9g,%.9g,%.9g,%.9g\n", *rows.T)
+def decompose_csv(rows: np.ndarray, write) -> None:
+    _fill(write, "%.9g,%.9g,%.9g,%.9g,%.9g\n", *rows.T, head="x,c_p1,c_p2,c_ent,total\n")
 
 
 _DECOMPOSE_JSON = ('    {\n      "x": %s,\n      "c_p1": %s,\n      "c_p2": %s,\n'
                    '      "c_ent": %s,\n      "total": %s\n    }')
 
 
-def decompose_json(params: ModelParams, rows: np.ndarray) -> str:
+def decompose_json(params: ModelParams, rows: np.ndarray, write) -> None:
     """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``."""
-    return _json_doc(params, rows=_json_list(_DECOMPOSE_JSON, *_json_num(rows).T))
+    _json_list(write, _json_head(params) + ',\n  "rows": ', _DECOMPOSE_JSON, *rows.T,
+               tail="\n}\n")
 
 
 def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
@@ -237,19 +246,22 @@ def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
     return list(LimitSeries.study(x, params, alphas, side, row).values)
 
 
-def limit_csv(rows) -> str:
-    lines = ["alpha,x,t,m_q,ratio"]
-    for a, x, t, m_q, ratio in rows:
-        tail = fmt9(ratio) if ratio is not None else ""
-        lines.append(f"{fmt9(a)},{fmt9(x)},{fmt9(t)},{fmt9(m_q)},{tail}")
-    return "\n".join(lines) + "\n"
+def limit_csv(rows, write) -> None:
+    a, x, t, m_q, ratio = zip(*rows)
+    _fill(write, "%.9g,%.9g,%.9g,%.9g,%s\n", a, x, t, m_q,
+          ["" if r is None else fmt9(r) for r in ratio], head="alpha,x,t,m_q,ratio\n")
 
 
-def limit_json(params: ModelParams, side: str, rows) -> str:
-    doc = {"params": params_dict(params), "side": side,
-           "rows": [{"alpha": a, "x": x, "t": t, "m_q": m_q, "ratio": ratio}
-                    for a, x, t, m_q, ratio in rows]}
-    return json.dumps(doc, indent=2) + "\n"
+_LIMIT_JSON = ('    {\n      "alpha": %s,\n      "x": %s,\n      "t": %s,\n      "m_q": %s,\n'
+               '      "ratio": %s\n    }')
+
+
+def limit_json(params: ModelParams, side: str, rows, write) -> None:
+    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``; no ratio is ``null``."""
+    *columns, ratio = zip(*rows)
+    _json_list(write, f'{_json_head(params)},\n  "side": {json.dumps(side)},\n  "rows": ',
+               _LIMIT_JSON, *columns, np.array(list(map(json.dumps, ratio)), dtype=object),
+               tail="\n}\n")
 
 
 def build_invert_positions(params: ModelParams, t: float, x_min: float,
@@ -257,11 +269,11 @@ def build_invert_positions(params: ModelParams, t: float, x_min: float,
     return positions_at_time(t, x_min, x_max, params)
 
 
-def invert_csv(positions) -> str:
-    return "x\n" + _fill("%.9g\n", positions)
+def invert_csv(positions, write) -> None:
+    _fill(write, "%.9g\n", positions, head="x\n")
 
 
-def invert_json(params: ModelParams, t: float, positions) -> str:
+def invert_json(params: ModelParams, t: float, positions, write) -> None:
     """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``."""
-    return _json_doc(params, t=json.dumps(t),
-                     positions=_json_list("    %s", _json_num(positions)))
+    _json_list(write, f'{_json_head(params)},\n  "t": {json.dumps(t)},\n  "positions": ',
+               "    %s", positions, tail="\n}\n")

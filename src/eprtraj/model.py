@@ -24,7 +24,7 @@ class ModelParams:
     ``hbar``, ``m``, ``alpha`` and ``k`` must be positive and ``beta`` and
     ``tau`` (the epoch offset of the motion: 0 launches from the origin)
     finite, or a ValueError is raised.  ``beta`` is normalized to ``(-pi,
-    pi]``; ``E``, ``M`` and the motion coefficient ``c`` are derived.
+    pi]``; ``E``, ``M`` and the motion coefficient ``c`` are derived and finite.
     """
 
     hbar: float
@@ -45,14 +45,17 @@ class ModelParams:
         for name, value in (("beta", self.beta), ("tau", self.tau)):
             if not -math.inf < value < math.inf:
                 raise ValueError(f"{name} must be finite, got {value}")
-        composite_mass = m * (1.0 + alpha * alpha)
+        composite_mass, hk = m * (1.0 + alpha * alpha), hbar * k
+        derived = (("M", composite_mass), ("E", hbar * hbar * k * k / (2.0 * composite_mass)),
+                   # m (1 - alpha^2) / (hbar k), factored to stay exact as alpha -> 1
+                   ("c", m * (1.0 - alpha) * (1.0 + alpha) / hk if hk else math.inf))
         # frozen: derived fields are set past the dataclass __setattr__, never through
         # vars(self), which would slow every later attribute read (CPython 3.11)
         object.__setattr__(self, "beta", normalize_phase_shift(self.beta))
-        object.__setattr__(self, "M", composite_mass)
-        object.__setattr__(self, "E", hbar * hbar * k * k / (2.0 * composite_mass))
-        # m (1 - alpha^2) / (hbar k), factored to stay exact as alpha -> 1
-        object.__setattr__(self, "c", m * (1.0 - alpha) * (1.0 + alpha) / (hbar * k))
+        for name, value in derived:
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} overflows for hbar={hbar}, m={m}, alpha={alpha}, k={k}")
+            object.__setattr__(self, name, value)
 
     def replace(self, **changes) -> "ModelParams":
         """Copy with some raw inputs changed, checked and derived again: faster than

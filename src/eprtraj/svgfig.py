@@ -97,10 +97,11 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
                  'text-anchor="middle">x</text>')
 
     for p, ts, color, dash in zip(curves, times, colors, dashes):
-        pts = _fill("%.3f,%.3f ", to_px(ts), to_py(xs))[:-1]
+        pts = []
+        _fill(pts.append, "%.3f,%.3f ", to_px(ts), to_py(xs))
         dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4"'
-                     f'{dash_attr} points="{pts}"/>')
+                     f'{dash_attr} points="{"".join(pts)[:-1]}"/>')
         if markers:
             for tp in trajectory.find_turning_points(x_min, x_max, p):
                 fill = "#b23434" if tp.kind == trajectory.TEMPORAL_MAX else "#2c8c50"

@@ -149,12 +149,23 @@ def trajectory_point(x: float, params: ModelParams) -> TrajectoryPoint:
                            direction=_DIRECTIONS[_direction_index(slope)])
 
 
+def _require_finite(where: str, *bounds) -> None:
+    """Raise ValueError naming the first ``(quantity, value)`` that is not finite."""
+    for name, value in bounds:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} overflows {where}")
+
+
 def _validate_range(x_min: float, x_max: float, params: ModelParams) -> None:
-    """Finite ``x_min < x_max`` on which the phase ``2kx + beta`` stays finite."""
+    """Finite ``x_min < x_max`` on which the phase ``2kx + beta`` and the bounds of ``|c x|``
+    and ``|g| = |c (D - x D')|`` (``|D - x D'| <= (1+alpha)^2 + 4 alpha k |x|``) stay finite."""
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
-    if not all(math.isfinite(2.0 * params.k * x + params.beta) for x in (x_min, x_max)):
-        raise ValueError(f"the phase 2kx + beta overflows on [{x_min}, {x_max}]")
+    k, a, c, reach = params.k, params.alpha, abs(params.c), max(-x_min, x_max)
+    _require_finite(f"on [{x_min}, {x_max}]",
+                    *[("the phase 2kx + beta", 2.0 * k * x + params.beta) for x in (x_min, x_max)],
+                    ("c x", c * reach),
+                    ("g = c (D - x D')", c * ((1.0 + a) * (1.0 + a) + 4.0 * a * k * reach)))
 
 
 def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
@@ -179,7 +190,7 @@ def _bracketed_roots(f, x_min: float, x_max: float, params: ModelParams, cuts):
     edges = edges[np.concatenate(([True], np.diff(edges) > 0.0))]  # np.unique loads np.ma
     amplitude_squared(edges, params, np, True)
     fe = f(edges)
-    i = np.flatnonzero(fe[:-1] * fe[1:] < 0.0)
+    i = np.flatnonzero(np.sign(fe[:-1]) * np.sign(fe[1:]) < 0.0)  # fe * fe may overflow
     return edges, fe, i, bisect_root(f, edges[i], edges[i + 1])
 
 
@@ -200,7 +211,7 @@ def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> Turn
             _phase_points(x_min, x_max, params, 0.5 * math.pi, math.pi))
     edges, ge, i, roots = _bracketed_roots(g, x_min, x_max, params, cuts)
     # an exact zero on an edge is a turning point when g changes sign across it
-    j = 1 + np.flatnonzero((ge[1:-1] == 0.0) & (ge[:-2] * ge[2:] < 0.0))
+    j = 1 + np.flatnonzero((ge[1:-1] == 0.0) & (np.sign(ge[:-2]) * np.sign(ge[2:]) < 0.0))
     xs = np.concatenate([roots, edges[j]])
     order = np.argsort(xs)
     xs, maxima = xs[order], np.concatenate([ge[i], ge[j - 1]])[order] > 0.0
@@ -235,14 +246,16 @@ def positions_at_time(t: float, x_min: float, x_max: float,
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     _validate_range(x_min, x_max, params)
-    c, dt = params.c, t - params.tau
+    c, dt, a = params.c, t - params.tau, params.alpha
+    amp = 4.0 * a * params.k * dt
+    _require_finite(f"at t = {t} on [{x_min}, {x_max}]", ("4 alpha k (t - tau)", amp),
+                    ("(t - tau)(1 + alpha)^2", dt * (1.0 + a) * (1.0 + a)))
     if c == 0.0 and dt == 0.0:
         raise ValueError(f"every position is at t = tau = {t} when alpha = 1")
 
     def h(xs):
         return c * xs - dt * amplitude_squared(xs, params, np)
 
-    amp = 4.0 * params.alpha * params.k * dt
     cuts = []
     if amp != 0.0 and abs(c) <= abs(amp):
         s = math.asin(-c / amp)

@@ -9,10 +9,18 @@ import pytest
 
 from eprtraj.cli import main
 from eprtraj.dataset import fmt9
+from test_golden import CASES as GOLDEN_CASES
 
 
 def run_main(args):
     return main(args)
+
+
+def _written(writer, *args):
+    """The text a writer passes to its sink, chunk by chunk, joined."""
+    chunks = []
+    writer(*args, chunks.append)
+    return "".join(chunks)
 
 
 def test_trajectory_csv_contract(tmp_path):
@@ -108,7 +116,7 @@ def test_trajectory_json_matches_generic_encoder():
                                                                ("creation", (1, 2))]
     for ds in (build_trajectory_dataset(p, 0.0, 4.0, 41), build_trajectory_dataset(p, 0.0, 0.5, 5),
                odd, _odd_trajectory(p, _turning_points())):
-        assert trajectory_json(ds) == json.dumps(_trajectory_doc(ds), indent=2) + "\n"
+        assert _written(trajectory_json, ds) == json.dumps(_trajectory_doc(ds), indent=2) + "\n"
 
 
 def _sweep_doc(ds):
@@ -139,7 +147,7 @@ def test_sweep_json_matches_generic_encoder():
     assert np.isnan(cases[0].t_lower[:4]).all() and not np.isnan(cases[0].t_lower[4:]).any()
     for ds in cases:
         assert len(ds) == ds.t.size
-        assert sweep_json(ds) == json.dumps(_sweep_doc(ds), indent=2) + "\n"
+        assert _written(sweep_json, ds) == json.dumps(_sweep_doc(ds), indent=2) + "\n"
 
 
 def test_decompose_json_matches_generic_encoder():
@@ -152,7 +160,7 @@ def test_decompose_json_matches_generic_encoder():
         doc = {"params": params_dict(p),
                "rows": [dict(zip(("x", "c_p1", "c_p2", "c_ent", "total"), row))
                         for row in rows.tolist()]}
-        assert decompose_json(p, rows) == json.dumps(doc, indent=2) + "\n"
+        assert _written(decompose_json, p, rows) == json.dumps(doc, indent=2) + "\n"
 
 
 def _many_positions():
@@ -169,8 +177,8 @@ def test_invert_writers_match_generic_encoder(positions):
     p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
     for t in (1.0, -0.0, 5e-324, 1e300):
         doc = {"params": params_dict(p), "t": t, "positions": positions}
-        assert invert_json(p, t, positions) == json.dumps(doc, indent=2) + "\n"
-    assert invert_csv(positions) == "\n".join(["x"] + [fmt9(x) for x in positions]) + "\n"
+        assert _written(invert_json, p, t, positions) == json.dumps(doc, indent=2) + "\n"
+    assert _written(invert_csv, positions) == "\n".join(["x"] + [fmt9(x) for x in positions]) + "\n"
 
 
 def test_parser_shared_across_calls(tmp_path, capsys):
@@ -218,7 +226,7 @@ def bulk_cells():
 def test_chunked_csv_matches_per_row_reference(n, bulk_cells):
     from eprtraj.dataset import decompose_csv
     cells, ref = bulk_cells
-    assert decompose_csv(cells[:n]) == "x,c_p1,c_p2,c_ent,total\n" + "".join(ref[:n])
+    assert _written(decompose_csv, cells[:n]) == "x,c_p1,c_p2,c_ent,total\n" + "".join(ref[:n])
 
 
 def test_chunked_csv_mixed_template(bulk_cells):
@@ -232,7 +240,7 @@ def test_chunked_csv_mixed_template(bulk_cells):
     ref = "".join(f"{fmt9(x)},{fmt9(t)},{fmt9(s)},{b},{d}\n" for x, t, s, b, d in
                   zip(ds.x.tolist(), ds.t.tolist(), ds.dtdx.tolist(), ds.branch_id.tolist(),
                       ds.direction.tolist()))
-    assert trajectory_csv(ds) == "x,t,dtdx,branch_id,direction\n" + ref
+    assert _written(trajectory_csv, ds) == "x,t,dtdx,branch_id,direction\n" + ref
 
 
 def test_dataset_branch_ids_match_segments():
@@ -479,3 +487,147 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["M"] == 1.25
+
+
+
+def _params_ref():
+    from eprtraj import validate_params
+    return validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
+
+
+@pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1])
+def test_invert_json_at_chunk_edges(n, bulk_cells):
+    from eprtraj.dataset import invert_json, params_dict
+    p, positions = _params_ref(), bulk_cells[0][:n, 0].tolist()
+    doc = {"params": params_dict(p), "t": math.inf, "positions": positions}
+    assert _written(invert_json, p, math.inf, positions) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 17])
+def test_json_writers_match_generic_encoder_at_chunk_edges(n, bulk_cells, monkeypatch):
+    # The generic encoder takes seconds per 2**15 records, so the writers' chunk edges
+    # are checked on an 8-record chunk (test_invert_json_at_chunk_edges keeps 2**15).
+    from eprtraj import dataset
+    from eprtraj.dataset import (SweepDataset, TrajectoryDataset, decompose_json, params_dict,
+                                 sweep_json, trajectory_json)
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 8)
+    cells, p = bulk_cells[0][-n:], _params_ref()  # the last three rows are special
+    tps = _turning_points(np.arange(n) / 7.0, cells[:, 4], np.arange(n) % 2 == 0)
+    for rows, turning_points in ((n, tps), (n, _turning_points()), (3, tps)):
+        ds = TrajectoryDataset(params=p, x=cells[:rows, 0], t=cells[:rows, 1],
+                               dtdx=cells[:rows, 2], branch_id=np.arange(rows) * 977 % 5003,
+                               turning_points=turning_points)
+        assert _written(trajectory_json, ds) == json.dumps(_trajectory_doc(ds), indent=2) + "\n"
+    sweep = SweepDataset(params=p, betas=[0.5, math.nan], xs=cells[:, 0], t=cells[:, 1:3].T,
+                         t_lower=cells[:, 3], t_upper=cells[:, 4])
+    assert _written(sweep_json, sweep) == json.dumps(_sweep_doc(sweep), indent=2) + "\n"
+    doc = {"params": params_dict(p),
+           "rows": [dict(zip(("x", "c_p1", "c_p2", "c_ent", "total"), row))
+                    for row in cells.tolist()]}
+    assert _written(decompose_json, p, cells) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_writers_call_the_sink_once_per_chunk(bulk_cells):
+    from eprtraj.dataset import TrajectoryDataset, decompose_csv, trajectory_json
+    cells, n = bulk_cells[0], _BULK
+    chunks = []
+    decompose_csv(cells, chunks.append)
+    assert [c.count("\n") for c in chunks] == [2 ** 15 + 1, 1]  # the header rides along
+    ds = TrajectoryDataset(params=_params_ref(), x=cells[:, 0], t=cells[:, 1],
+                           dtdx=cells[:, 2], branch_id=np.zeros(n, dtype=int),
+                           turning_points=_turning_points(np.arange(n) / 7.0, cells[:, 4],
+                                                          np.arange(n) % 2 == 1))
+    chunks.clear()
+    trajectory_json(ds, chunks.append)
+    assert len(chunks) == 6  # two chunks per list, separators joined onto them
+    assert chunks[0].startswith('{\n  "params": {') and chunks[-1].endswith("\n  ]\n}\n")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_stdout_bytes_equal_out_bytes(name, tmp_path, capsysbinary):
+    argv = GOLDEN_CASES[name]
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["trajectory", "--samples", "1"], 2),
+    (["sweep", "--betas", ""], 2),
+    (["invert", "--t", "1e308"], 2),
+    (["limit", "--side", "below", "--alphas", "0.99,0.9", "--x", "1"], 2),
+    (["trajectory", "--alpha", "1"], 3),
+    (["limit", "--side", "below", "--alphas", "0.9,1", "--x", "1", "--format", "json"], 3),
+])
+def test_failed_run_leaves_no_file(argv, code, tmp_path):
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("writer", ["trajectory_csv", "trajectory_json"])
+def test_writer_peak_memory_is_flat_in_rows(writer, monkeypatch):
+    # 2 and 8 chunks, as 2**16 and 2**18 rows make with 2**15-row chunks, at 1/16 of
+    # the size: tracemalloc slows every allocation, and each cell makes one or two.
+    import tracemalloc
+    from eprtraj import dataset
+    from eprtraj.dataset import TrajectoryDataset
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 2 ** 11)
+
+    def peak(n):
+        rng = np.random.default_rng(n)
+        ds = TrajectoryDataset(params=_params_ref(), x=rng.uniform(-1.0, 1.0, n),
+                               t=rng.uniform(-1.0, 1.0, n), dtdx=rng.uniform(-1.0, 1.0, n),
+                               branch_id=np.arange(n) % 7, turning_points=_turning_points())
+        tracemalloc.start()
+        try:
+            getattr(dataset, writer)(ds, lambda text: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2 ** 14) / peak(2 ** 12) < 1.5
+
+
+def _finite_json(text):
+    def reject(token):
+        raise AssertionError(f"non-finite cell {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["trajectory", "--m", "1e308", "--samples", "3"], "c x overflows on [0.0, 4.0]"),
+    (["trajectory", "--m", "3e307", "--samples", "3"], "g = c (D - x D') overflows on [0.0, 4.0]"),
+    (["trajectory", "--hbar", "1e-320", "--samples", "3"],
+     "c overflows for hbar=1e-320, m=1.0, alpha=0.5, k=1.5707963267948966"),
+    (["params", "--hbar", "2e-309"],
+     "c overflows for hbar=2e-309, m=1.0, alpha=0.5, k=1.5707963267948966"),
+    (["params", "--hbar", "1e-320", "--k", "1e-10"],  # hbar k underflows to 0
+     "c overflows for hbar=1e-320, m=1.0, alpha=0.5, k=1e-10"),
+    (["params", "--k", "1e200"], "E overflows for hbar=1.0, m=1.0, alpha=0.5, k=1e+200"),
+    (["invert", "--t", "1e308"], "4 alpha k (t - tau) overflows at t = 1e+308 on [0.0, 4.0]"),
+    (["invert", "--t", "6e307"], "4 alpha k (t - tau) overflows at t = 6e+307 on [0.0, 4.0]"),
+    (["invert", "--t", "1e308", "--k", "1e-3"],
+     "(t - tau)(1 + alpha)^2 overflows at t = 1e+308 on [0.0, 4.0]"),
+])
+def test_overflowing_parameters_exit_2(argv, message, capsys):
+    assert run_main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--m", "1e306", "--samples", "3", "--format", "json"],
+    ["trajectory", "--hbar", "1e-300", "--samples", "3", "--format", "json"],
+    ["params", "--hbar", "3e-309"],
+    ["params", "--k", "1e150"],
+    ["invert", "--t", "5e307", "--format", "json"],
+    ["invert", "--t", "7e307", "--k", "1e-3", "--format", "json"],
+])
+def test_finite_next_to_overflow_bounds(argv, capsys):
+    assert run_main(argv) == 0
+    doc = _finite_json(capsys.readouterr().out)
+    assert len(doc.get("rows", [])) == (3 if argv[0] == "trajectory" else 0)
