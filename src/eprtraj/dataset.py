@@ -187,11 +187,15 @@ def build_sweep_dataset(params: ModelParams, betas, x_min: float, x_max: float,
 
 
 def sweep_csv(ds: SweepDataset, write) -> None:
-    xs = list(map("%.9g".__mod__, ds.xs.tolist()))
-    wedge = list(map("%.9g,%.9g".__mod__, zip(ds.t_lower.tolist(), ds.t_upper.tolist())))
-    for i, (beta, t) in enumerate(zip(ds.betas, ds.t)):
-        _fill(write, fmt9(beta) + ",%s,%.9g,%s\n", xs, t, wedge,
-              head="" if i else "beta,x,t,t_lower,t_upper\n")
+    """The x and wedge cells every curve shares, rendered once into row templates."""
+    rows = list(map(",%.9g,%%.9g,%.9g,%.9g\n".__mod__,
+                    zip(ds.xs.tolist(), ds.t_lower.tolist(), ds.t_upper.tolist())))
+    head = "beta,x,t,t_lower,t_upper\n"
+    for beta, t in zip(map(fmt9, ds.betas), ds.t):
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            chunk = slice(lo, lo + _CHUNK_ROWS)
+            write(head + (beta + beta.join(rows[chunk])) % tuple(t[chunk].tolist()))
+            head = ""
 
 
 _POINT_JSON = '        {\n          "x": %s,\n          "t": %s\n        }'

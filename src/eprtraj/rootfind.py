@@ -7,23 +7,20 @@ import numpy as np
 ROOT_XTOL = 1e-10
 
 
-def bisect_root(f, lo, hi, xtol: float = ROOT_XTOL) -> np.ndarray:
+def bisect_root(f, lo, hi, f_lo, f_hi, xtol: float = ROOT_XTOL) -> np.ndarray:
     """Midpoints of the brackets ``[lo[i], hi[i]]`` narrowed to width ``xtol``.
 
-    ``f`` maps arrays to arrays and has strictly opposite signs at ``lo[i]``
-    and ``hi[i]``.  ITP steps (Oliveira & Takahashi, ACM TOMS 2020; k1 = 0.2 /
-    width, k2 = 2, n0 = 1) refine all open brackets together, one ``f`` call
-    per step, each bracket in at most its bisection count + 1 steps.  Iterates
-    stay ``xtol / 2`` inside their bracket, so one that has met the root at
-    one end closes in the next step.
+    ``f`` maps arrays to arrays; its values ``f_lo`` at ``lo`` and ``f_hi`` at ``hi``
+    (arrays) have strictly opposite signs.  ITP steps (Oliveira & Takahashi, ACM TOMS
+    2020; k1 = 0.2 / width, k2 = 2, n0 = 1) refine all open brackets together, one ``f``
+    call per step, each bracket in at most its bisection count + 1 steps.  Iterates stay
+    ``xtol / 2`` inside their bracket, so one that has met the root at one end closes in
+    the next step.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f_lo, f_hi = np.split(f(np.concatenate((lo, hi))), [len(lo)])
     roots, todo, k1 = np.empty(len(lo)), np.arange(len(lo)), 0.2 / (hi - lo)
     # the radius of step j is slack 2^-j - width / 2, slack = xtol 2^(bisection steps)
     slack = xtol * 2.0 ** np.ceil(np.log2(np.maximum((hi - lo) / xtol, 1.0)))
-    n_max = 1 + int(np.max(np.log2(slack / xtol), initial=0.0))
-    for j in range(n_max):
+    for j in range(1 + int(np.max(np.log2(slack / xtol), initial=0.0))):
         done = hi - lo <= xtol
         if done.any():  # closed brackets leave the arrays
             roots[todo[done]] = 0.5 * (lo[done] + hi[done])
@@ -33,7 +30,8 @@ def bisect_root(f, lo, hi, xtol: float = ROOT_XTOL) -> np.ndarray:
             break
         width = hi - lo
         mid = lo + 0.5 * width
-        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        with np.errstate(divide="ignore", over="ignore"):  # -inf (f_lo 0 or tiny): x_f = lo
+            x_f = lo + width / (1.0 - f_hi / f_lo)  # regula falsi, no product of f and x
         sigma, delta = np.sign(mid - x_f), k1 * width * width
         x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
         r = slack * 0.5 ** j - 0.5 * width

@@ -7,9 +7,9 @@ solid, filling the confining wedge.
 Axes follow the motion's natural reading: time runs along the horizontal
 axis, position up the vertical axis.  The time axis spans t = 0 (the launch
 point) and every plotted time, negative ones included.
-Curves are drawn as single x-parameterized polylines, so retrograde segments
-double back leftward.  A ``<desc>`` element records the data-to-pixel
-calibration for downstream consumers.
+Curves are drawn as single x-parameterized polylines, so retrograde segments double back
+leftward; their y cells, shared by every curve, are rendered to text once.  A ``<desc>``
+element records the data-to-pixel calibration for downstream consumers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 from . import trajectory
 # build_trajectory_dataset stays importable here: perfbench/tracing.py wraps it
-from .dataset import _fill, _sample_grid, build_trajectory_dataset  # noqa: F401
+from .dataset import _sample_grid, build_trajectory_dataset  # noqa: F401
 from .model import ModelParams
 
 _WIDTH = 720
@@ -44,7 +44,7 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
     if figure_id not in (1, 2):
         raise ValueError(f"figure_id must be 1 or 2, got {figure_id}")
     betas = [0.0, math.pi] if figure_id == 1 else list(_FIG2_BETAS)
-    dashes = ["none", "6 5"] if figure_id == 1 else ["none"] * len(betas)
+    dashes = ["", ' stroke-dasharray="6 5"'] if figure_id == 1 else [""] * len(betas)
     colors = ["#1f4e9c", "#b23434"] if figure_id == 1 else list(_FIG2_COLORS)
 
     xs = _sample_grid(x_min, x_max, samples, params)
@@ -96,12 +96,10 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
     parts.append(f'<text x="18" y="{(py_top + py_bottom) / 2:.1f}" font-size="15" '
                  'text-anchor="middle">x</text>')
 
+    points = " ".join(map("%%.3f,%.3f".__mod__, to_py(xs).tolist()))  # "%.3f,<y> ..."
     for p, ts, color, dash in zip(curves, times, colors, dashes):
-        pts = []
-        _fill(pts.append, "%.3f,%.3f ", to_px(ts), to_py(xs))
-        dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4"'
-                     f'{dash_attr} points="{"".join(pts)[:-1]}"/>')
+                     f'{dash} points="{points % tuple(to_px(ts).tolist())}"/>')
         if markers:
             for tp in trajectory.find_turning_points(x_min, x_max, p):
                 fill = "#b23434" if tp.kind == trajectory.TEMPORAL_MAX else "#2c8c50"

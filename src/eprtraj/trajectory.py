@@ -191,7 +191,7 @@ def _bracketed_roots(f, x_min: float, x_max: float, params: ModelParams, cuts):
     amplitude_squared(edges, params, np, True)
     fe = f(edges)
     i = np.flatnonzero(np.sign(fe[:-1]) * np.sign(fe[1:]) < 0.0)  # fe * fe may overflow
-    return edges, fe, i, bisect_root(f, edges[i], edges[i + 1])
+    return edges, fe, i, bisect_root(f, edges[i], edges[i + 1], fe[i], fe[i + 1])
 
 
 def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> TurningPoints:

@@ -543,6 +543,48 @@ def test_writers_call_the_sink_once_per_chunk(bulk_cells):
     assert chunks[0].startswith('{\n  "params": {') and chunks[-1].endswith("\n  ]\n}\n")
 
 
+@pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1])
+def test_sweep_csv_matches_per_row_reference_at_chunk_edges(n):
+    # x < 0 gives NaN wedge cells, alpha > 1 and tau = 1 both-signed times
+    from eprtraj import validate_params
+    from eprtraj.dataset import build_sweep_dataset, sweep_csv
+    ds = build_sweep_dataset(validate_params(1.0, 1.0, 1.5, 0.0, math.pi / 2, tau=1.0),
+                             [0.0, 2.5, -1e-7], -1.0, 4.0, n)
+    assert np.isnan(ds.t_lower[0]) and np.isfinite(ds.t_lower[-1])
+    head = "beta,x,t,t_lower,t_upper\n"
+    ref = head + "".join(
+        f"{fmt9(beta)},{fmt9(x)},{fmt9(t)},{fmt9(lo)},{fmt9(hi)}\n"
+        for beta, ts in zip(ds.betas, ds.t.tolist())
+        for x, t, lo, hi in zip(ds.xs.tolist(), ts, ds.t_lower.tolist(), ds.t_upper.tolist()))
+    chunks = []
+    sweep_csv(ds, chunks.append)
+    assert "".join(chunks) == ref
+    per_curve = [min(2 ** 15, n - lo) for lo in range(0, n, 2 ** 15)]
+    assert [c.count("\n") for c in chunks] == [per_curve[0] + 1, *per_curve[1:]] + per_curve * 2
+    assert chunks[0].startswith(head) and not any(head in c for c in chunks[1:])
+
+
+@pytest.mark.parametrize("figure_id", [1, 2])
+def test_figure_points_match_per_point_reference(figure_id):
+    from eprtraj import validate_params
+    from eprtraj.svgfig import render_figure
+    from eprtraj.trajectory import time_of_position
+    p = validate_params(1.0, 1.0, 1.5, 0.0, math.pi / 2, tau=-1.0)
+    text = render_figure(figure_id, p, -2.0, 3.0, 333)
+    t_lo, t_hi, px_l, px_r, x_min, x_max, py_b, py_t = (
+        float(v) for v in _DESC.search(text).groups())
+    assert t_lo < 0.0
+    xs = np.linspace(-2.0, 3.0, 333)
+    betas = [0.0, math.pi] if figure_id == 1 else [j * math.pi / 4.0 for j in range(8)]
+    ref = []
+    for beta in betas:
+        ts = time_of_position(xs, p.replace(beta=beta), np)
+        ref.append(" ".join("%.3f,%.3f" % (px_l + (t - t_lo) / (t_hi - t_lo) * (px_r - px_l),
+                                           py_b - (x - x_min) / (x_max - x_min) * (py_b - py_t))
+                            for t, x in zip(ts.tolist(), xs.tolist())))
+    assert re.findall(r' points="([^"]+)"', text) == ref
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_stdout_bytes_equal_out_bytes(name, tmp_path, capsysbinary):
     argv = GOLDEN_CASES[name]
@@ -621,6 +663,11 @@ def test_overflowing_parameters_exit_2(argv, message, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["trajectory", "--m", "1e306", "--samples", "3", "--format", "json"],
+    # root brackets' values near 1e307: regula falsi's lo f_hi - hi f_lo overflowed
+    ["trajectory", "--m", "1e307", "--samples", "3", "--format", "json"],
+    # subnormal values, whose halves round to 0: regula falsi must not divide by 0 - 0
+    ["trajectory", "--m", "1e-320", "--k", "1e-10", "--xmax", "1e11", "--samples", "3",
+     "--format", "json"],
     ["trajectory", "--hbar", "1e-300", "--samples", "3", "--format", "json"],
     ["params", "--hbar", "3e-309"],
     ["params", "--k", "1e150"],

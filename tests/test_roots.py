@@ -141,10 +141,11 @@ def test_itp_step_bound_and_containment():
         return np.array([_mixed(x) for x in xs.tolist()])
 
     xtol = 1e-10
-    roots = bisect_root(f, lo, hi, xtol)
+    f_lo, f_hi = (np.array([_mixed(x) for x in v.tolist()]) for v in (lo, hi))
+    roots = bisect_root(f, lo, hi, f_lo, f_hi, xtol)
     bisections = math.ceil(math.log2(np.max(hi - lo) / xtol))
-    assert len(seen) - 2 <= bisections + 1  # one call for the ends, one per step
-    for xs in seen[1:]:
+    assert len(seen) - 1 <= bisections + 1  # one call per step
+    for xs in seen:
         i = np.searchsorted(lo, xs, side="right") - 1
         assert np.all((lo[i] <= xs) & (xs <= hi[i]))
     for (a, b), root in zip(_BRACKETS, roots.tolist()):
@@ -156,13 +157,13 @@ def test_itp_step_bound_and_containment():
 def test_itp_closes_smooth_brackets_early(monkeypatch):
     steps = []
 
-    def counting(f, lo, hi, xtol=1e-10):
+    def counting(f, lo, hi, f_lo, f_hi, xtol=1e-10):
         def g(xs):
             steps.append(len(xs))
             return f(xs)
-        return bisect_root(g, lo, hi, xtol)
+        return bisect_root(g, lo, hi, f_lo, f_hi, xtol)
 
     monkeypatch.setattr(trajectory, "bisect_root", counting)
     assert len(find_turning_points(0.0, 20.0, make_params(k=2000.0))) == 25464
     # bisection takes 23 steps here; ITP closes every bracket within 10
-    assert len(steps) - 1 <= 10
+    assert len(steps) <= 10
