@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import dataset as ds
 from .model import validate_params
-from .svgfig import render_figure
+from .svgfig import FIGURES, render_figure
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated phase shifts")
     figure = sub.add_parser("figure", parents=[common],
                             help="render figure 1 or 2 as SVG")
-    figure.add_argument("figure_id", type=int, choices=(1, 2))
+    figure.add_argument("figure_id", type=int, choices=sorted(FIGURES))
     figure.add_argument("--markers", action="store_true",
                         help="draw creation/annihilation markers")
     sub.add_parser("decompose", parents=[common],
@@ -101,9 +101,9 @@ _COMMANDS = {
                                                   a.xmin, a.xmax, a.samples),
               {"csv": lambda a, p, data, w: ds.sweep_csv(data, w),
                "json": lambda a, p, data, w: ds.sweep_json(data, w)}),
-    "figure": (lambda a, p: render_figure(a.figure_id, p, a.xmin, a.xmax, a.samples,
-                                          markers=a.markers),
-               {"svg": lambda a, p, text, w: w(text)}),
+    "figure": (lambda a, p: ds.build_sweep_dataset(p, FIGURES[a.figure_id][0], a.xmin, a.xmax,
+                                                   a.samples),
+               {"svg": lambda a, p, data, w: w(render_figure(a.figure_id, data, a.markers))}),
     "decompose": (lambda a, p: ds.build_decompose_rows(p, a.xmin, a.xmax, a.samples),
                   {"csv": lambda a, p, rows, w: ds.decompose_csv(rows, w),
                    "json": lambda a, p, rows, w: ds.decompose_json(p, rows, w)}),

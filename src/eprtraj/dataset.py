@@ -182,7 +182,9 @@ def build_sweep_dataset(params: ModelParams, betas, x_min: float, x_max: float,
         raise ValueError("beta list must not be empty")
     xs = _sample_grid(x_min, x_max, samples, params)
     t = np.array([_time_array(xs, params.replace(beta=beta)) for beta in beta_list])
-    lower, upper = (np.where(xs < 0.0, math.nan, edge) for edge in _wedge_edges(xs, params))
+    with np.errstate(over="ignore"):  # an edge past the float range is inf, as wedge_bounds says
+        edges = _wedge_edges(xs, params)
+    lower, upper = (np.where(xs < 0.0, math.nan, edge) for edge in edges)
     return SweepDataset(params, beta_list, xs, t, t_lower=lower, t_upper=upper)
 
 

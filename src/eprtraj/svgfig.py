@@ -1,4 +1,4 @@
-"""Static SVG rendering of the trajectory figures.
+"""Static SVG rendering of the trajectory figures: a figure is a sweep drawn as SVG.
 
 Figure 1: the motion for beta = 0 (solid) and beta = pi (dashed).
 Figure 2: a sweep of eight phase shifts beta = 0, pi/4, ..., 7pi/4, all
@@ -18,8 +18,7 @@ import math
 
 from . import trajectory
 # build_trajectory_dataset stays importable here: perfbench/tracing.py wraps it
-from .dataset import _sample_grid, build_trajectory_dataset  # noqa: F401
-from .model import ModelParams
+from .dataset import SweepDataset, build_trajectory_dataset  # noqa: F401
 
 _WIDTH = 720
 _HEIGHT = 540
@@ -28,31 +27,25 @@ _MARGIN_RIGHT = 25.0
 _MARGIN_TOP = 25.0
 _MARGIN_BOTTOM = 55.0
 
-_FIG2_BETAS = [j * math.pi / 4.0 for j in range(8)]
-_FIG2_COLORS = ["#1f4e9c", "#b23434", "#2c8c50", "#8c5f2c",
-                "#6a3d9a", "#2c8c8c", "#a03d6e", "#5f6f2c"]
+# figure id: (betas, colours, dash attributes), one of each per curve
+FIGURES = {1: ([0.0, math.pi], ["#1f4e9c", "#b23434"], ["", ' stroke-dasharray="6 5"']),
+           2: ([j * math.pi / 4.0 for j in range(8)], ["#1f4e9c", "#b23434", "#2c8c50",
+               "#8c5f2c", "#6a3d9a", "#2c8c8c", "#a03d6e", "#5f6f2c"], [""] * 8)}
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
-                  x_max: float = 4.0, samples: int = 2001,
-                  markers: bool = False) -> str:
-    """Render figure 1 or 2 as an SVG 1.1 document string."""
-    if figure_id not in (1, 2):
-        raise ValueError(f"figure_id must be 1 or 2, got {figure_id}")
-    betas = [0.0, math.pi] if figure_id == 1 else list(_FIG2_BETAS)
-    dashes = ["", ' stroke-dasharray="6 5"'] if figure_id == 1 else [""] * len(betas)
-    colors = ["#1f4e9c", "#b23434"] if figure_id == 1 else list(_FIG2_COLORS)
+def render_figure(figure_id: int, ds: SweepDataset, markers: bool = False) -> str:
+    """Figure 1 or 2 as an SVG 1.1 document: ``ds`` sweeps its betas on the plotted x-range."""
+    if figure_id not in FIGURES or ds.betas != FIGURES[figure_id][0]:
+        raise ValueError(f"no figure {figure_id} of betas {ds.betas}")
+    betas, colors, dashes = FIGURES[figure_id]
+    xs, x_min, x_max = ds.xs, float(ds.xs[0]), float(ds.xs[-1])
 
-    xs = _sample_grid(x_min, x_max, samples, params)
-    curves = [params.replace(beta=beta) for beta in betas]
-    times = [trajectory._time_array(xs, p) for p in curves]
-
-    t_lo = min(0.0, 1.02 * min(float(ts.min()) for ts in times))
-    t_hi = max(0.0, 1.02 * max(float(ts.max()) for ts in times))
+    t_lo = min(0.0, 1.02 * float(ds.t.min()))
+    t_hi = max(0.0, 1.02 * float(ds.t.max()))
     if t_hi <= t_lo:
         t_hi = t_lo + 1.0
     px_left = _MARGIN_LEFT
@@ -97,11 +90,11 @@ def render_figure(figure_id: int, params: ModelParams, x_min: float = 0.0,
                  'text-anchor="middle">x</text>')
 
     points = " ".join(map("%%.3f,%.3f".__mod__, to_py(xs).tolist()))  # "%.3f,<y> ..."
-    for p, ts, color, dash in zip(curves, times, colors, dashes):
+    for beta, ts, color, dash in zip(betas, ds.t, colors, dashes):
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4"'
                      f'{dash} points="{points % tuple(to_px(ts).tolist())}"/>')
         if markers:
-            for tp in trajectory.find_turning_points(x_min, x_max, p):
+            for tp in trajectory.find_turning_points(x_min, x_max, ds.params.replace(beta=beta)):
                 fill = "#b23434" if tp.kind == trajectory.TEMPORAL_MAX else "#2c8c50"
                 parts.append(f'<circle cx="{to_px(tp.t):.2f}" cy="{to_py(tp.x):.2f}" '
                              f'r="3.5" fill="{fill}"/>')

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InfiniteVelocityError
 from .model import ModelParams
 from .rootfind import ROOT_XTOL, bisect_root
-from .wavefunction import _slope_factor, amplitude_squared
+from .wavefunction import MIN_AMPLITUDE_SQUARED, _slope_factor, amplitude_squared
 
 FORWARD = "forward"
 RETROGRADE = "retrograde"
@@ -157,15 +157,18 @@ def _require_finite(where: str, *bounds) -> None:
 
 
 def _validate_range(x_min: float, x_max: float, params: ModelParams) -> None:
-    """Finite ``x_min < x_max`` on which the phase ``2kx + beta`` and the bounds of ``|c x|``
-    and ``|g| = |c (D - x D')|`` (``|D - x D'| <= (1+alpha)^2 + 4 alpha k |x|``) stay finite."""
+    """Finite ``x_min < x_max`` on which the phase ``2kx + beta`` and the bounds of ``|c x|``,
+    ``|g| = |c (D - x D')|`` (``|D - x D'| <= (1+alpha)^2 + 4 alpha k |x|``) and ``|t|``
+    (``D >= max((1-alpha)^2, MIN_AMPLITUDE_SQUARED)`` off the nodes) stay finite."""
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
     k, a, c, reach = params.k, params.alpha, abs(params.c), max(-x_min, x_max)
     _require_finite(f"on [{x_min}, {x_max}]",
                     *[("the phase 2kx + beta", 2.0 * k * x + params.beta) for x in (x_min, x_max)],
                     ("c x", c * reach),
-                    ("g = c (D - x D')", c * ((1.0 + a) * (1.0 + a) + 4.0 * a * k * reach)))
+                    ("g = c (D - x D')", c * ((1.0 + a) * (1.0 + a) + 4.0 * a * k * reach)),
+                    ("t = tau + c x / D", abs(params.tau) + c * reach
+                     / max((1.0 - a) * (1.0 - a), MIN_AMPLITUDE_SQUARED)))
 
 
 def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
@@ -247,9 +250,10 @@ def positions_at_time(t: float, x_min: float, x_max: float,
         raise ValueError(f"t must be finite, got {t}")
     _validate_range(x_min, x_max, params)
     c, dt, a = params.c, t - params.tau, params.alpha
-    amp = 4.0 * a * params.k * dt
+    amp, dt_d = 4.0 * a * params.k * dt, dt * (1.0 + a) * (1.0 + a)
     _require_finite(f"at t = {t} on [{x_min}, {x_max}]", ("4 alpha k (t - tau)", amp),
-                    ("(t - tau)(1 + alpha)^2", dt * (1.0 + a) * (1.0 + a)))
+                    ("(t - tau)(1 + alpha)^2", dt_d),
+                    ("h = c x - (t - tau) D", abs(c) * max(-x_min, x_max) + abs(dt_d)))
     if c == 0.0 and dt == 0.0:
         raise ValueError(f"every position is at t = tau = {t} when alpha = 1")
 

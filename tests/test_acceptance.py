@@ -28,7 +28,8 @@ from eprtraj import (
     validate_params,
     wedge_bounds,
 )
-from eprtraj.svgfig import render_figure
+from eprtraj.dataset import build_sweep_dataset
+from eprtraj.svgfig import FIGURES, render_figure
 from eprtraj.trajectory import TEMPORAL_MAX, TEMPORAL_MIN
 
 from conftest import jacobi_time_estimate, make_params
@@ -195,8 +196,14 @@ def _parse_svg_points(text):
     return cloud
 
 
+def _figure(figure_id, params):
+    """Figure ``figure_id`` as the CLI draws it by default: x in [0, 4], 2001 samples."""
+    return render_figure(figure_id, build_sweep_dataset(params, FIGURES[figure_id][0], 0.0, 4.0,
+                                                        2001))
+
+
 def test_criterion_10_figure_reproduction(ref_params):
-    text = render_figure(1, ref_params)
+    text = _figure(1, ref_params)
     assert text.count("<polyline") == 2
     assert text.count("stroke-dasharray") == 1
     cloud = _parse_svg_points(text)
@@ -204,7 +211,7 @@ def test_criterion_10_figure_reproduction(ref_params):
     slopes = [t / x * scale for t, x in cloud if x >= 0.05]
     assert abs(max(slopes) / 3.0 - 1.0) <= 0.01
     assert abs(min(slopes) / (1.0 / 3.0) - 1.0) <= 0.01
-    text2 = render_figure(2, ref_params)
+    text2 = _figure(2, ref_params)
     assert text2.count("<polyline") == 8
     assert "stroke-dasharray" not in text2
     _report(10, f"figure-1 extreme slopes {min(slopes):.4f}, {max(slopes):.4f} "

@@ -567,10 +567,11 @@ def test_sweep_csv_matches_per_row_reference_at_chunk_edges(n):
 @pytest.mark.parametrize("figure_id", [1, 2])
 def test_figure_points_match_per_point_reference(figure_id):
     from eprtraj import validate_params
-    from eprtraj.svgfig import render_figure
+    from eprtraj.dataset import build_sweep_dataset
+    from eprtraj.svgfig import FIGURES, render_figure
     from eprtraj.trajectory import time_of_position
     p = validate_params(1.0, 1.0, 1.5, 0.0, math.pi / 2, tau=-1.0)
-    text = render_figure(figure_id, p, -2.0, 3.0, 333)
+    text = render_figure(figure_id, build_sweep_dataset(p, FIGURES[figure_id][0], -2.0, 3.0, 333))
     t_lo, t_hi, px_l, px_r, x_min, x_max, py_b, py_t = (
         float(v) for v in _DESC.search(text).groups())
     assert t_lo < 0.0
@@ -583,6 +584,15 @@ def test_figure_points_match_per_point_reference(figure_id):
                                            py_b - (x - x_min) / (x_max - x_min) * (py_b - py_t))
                             for t, x in zip(ts.tolist(), xs.tolist())))
     assert re.findall(r' points="([^"]+)"', text) == ref
+
+
+@pytest.mark.parametrize("figure_id, betas", [(3, [0.0]), (1, [0.0]), (2, [0.0, math.pi])])
+def test_figure_of_other_betas_raises(figure_id, betas):
+    from eprtraj.dataset import build_sweep_dataset
+    from eprtraj.svgfig import render_figure
+    sweep = build_sweep_dataset(_params_ref(), betas, 0.0, 4.0, 11)
+    with pytest.raises(ValueError, match=f"no figure {figure_id} of betas"):
+        render_figure(figure_id, sweep)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -654,10 +664,41 @@ def _finite_json(text):
     (["invert", "--t", "6e307"], "4 alpha k (t - tau) overflows at t = 6e+307 on [0.0, 4.0]"),
     (["invert", "--t", "1e308", "--k", "1e-3"],
      "(t - tau)(1 + alpha)^2 overflows at t = 1e+308 on [0.0, 4.0]"),
+    # |t - tau| <= |c| reach / (1 - alpha)^2 passes the float range; t was written as inf
+    (["trajectory", "--m", "1e301", "--alpha", "0.9999998", "--samples", "5"],
+     "t = tau + c x / D overflows on [0.0, 4.0]"),
+    (["figure", "1", "--m", "1e301", "--alpha", "0.9999998", "--samples", "5"],
+     "t = tau + c x / D overflows on [0.0, 4.0]"),
+    (["trajectory", "--tau", "1.7e308", "--m", "1e307", "--samples", "3"],
+     "t = tau + c x / D overflows on [0.0, 4.0]"),
+    # h = c x - (t - tau) D adds its two terms' bounds: each alone is finite
+    (["invert", "--t", "-7e307", "--k", "1e-3", "--m", "5e304"],
+     "t = tau + c x / D overflows on [0.0, 4.0]"),
+    (["invert", "--t", "7e307", "--xmin", "-4", "--xmax", "0", "--k", "1e-3", "--m", "5e304"],
+     "t = tau + c x / D overflows on [-4.0, 0.0]"),
+    (["invert", "--t", "1e307", "--alpha", "2", "--k", "1e-3", "--xmax", "100",
+      "--m", "3.34e302"], "h = c x - (t - tau) D overflows at t = 1e+307 on [0.0, 100.0]"),
 ])
 def test_overflowing_parameters_exit_2(argv, message, capsys):
     assert run_main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_wedge_edge_past_float_range_is_inf(capsys):
+    from eprtraj import validate_params, wedge_bounds
+    argv = ["sweep", "--betas", "0", "--m", "1e300", "--alpha", "0.9999999999999999",
+            "--samples", "3"]
+    p = validate_params(1.0, 1e300, 0.9999999999999999, 0.0, math.pi / 2)
+    assert run_main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[4] for r in rows] == [fmt9(wedge_bounds(float(r[1]), p).t_upper) for r in rows]
+    assert rows[-1][4] == "inf"
+    assert run_main(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    wedge = json.loads(text)["wedge"]
+    assert [w["t_upper"] for w in wedge] == [wedge_bounds(w["x"], p).t_upper for w in wedge]
+    assert wedge[-1]["t_upper"] == math.inf and '"t_upper": Infinity' in text
 
 
 @pytest.mark.filterwarnings("error")

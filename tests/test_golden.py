@@ -56,7 +56,8 @@ CASES = {
 _BETAS_8 = ",".join(repr(j * math.pi / 4) for j in range(8))
 
 # sha256 of large outputs written by the per-row writers that the columnar
-# datasets and chunked writers replaced; no root cell appears in them.
+# datasets and chunked writers replaced, and (the figure) by the figure path that
+# sampled and evaluated its own curves; no root cell appears in them.
 BULK = {
     "trajectory": (["trajectory", "--samples", "100000", "--xmax", "100"],
                    "37153d7a05db65d56fb0de22fc40c194968a84bf143ed347e3a9217bb920f995"),
@@ -65,6 +66,10 @@ BULK = {
               "531a34797e8b47950d2d2a9c7a945f69e04e288846f051b5449e67b4bfe14151"),
     "decompose": (["decompose", "--samples", "100000", "--xmin", "-50", "--xmax", "50"],
                   "c57b2b696e66c5010bd1cdfacd911a84d8b44ebcb75f83d4cf935116c20022d8"),
+    # negative times and no markers, 2.5 MB
+    "figure": (["figure", "2", "--samples", "20001", "--xmin", "-2", "--alpha", "1.5",
+                "--tau", "1"],
+               "29415ff2ace50d91b5216e6ef98e4411f96c53907acb7a1a6fb35c5625d7a3fe"),
 }
 
 # Where the root cells start, and a pattern for each root cell after that.
