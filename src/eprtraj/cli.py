@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import re
 import sys
@@ -101,9 +100,11 @@ _COMMANDS = {
                                                   a.xmin, a.xmax, a.samples),
               {"csv": lambda a, p, data, w: ds.sweep_csv(data, w),
                "json": lambda a, p, data, w: ds.sweep_json(data, w)}),
-    "figure": (lambda a, p: ds.build_sweep_dataset(p, FIGURES[a.figure_id][0], a.xmin, a.xmax,
-                                                   a.samples),
-               {"svg": lambda a, p, data, w: w(render_figure(a.figure_id, data, a.markers))}),
+    "figure": (lambda a, p: (ds.build_sweep_dataset(p, FIGURES[a.figure_id][0], a.xmin, a.xmax,
+                                                    a.samples),
+                             [ds.find_turning_points(a.xmin, a.xmax, p.replace(beta=beta))
+                              if a.markers else () for beta in FIGURES[a.figure_id][0]]),
+               {"svg": lambda a, p, data, w: render_figure(a.figure_id, *data, w)}),
     "decompose": (lambda a, p: ds.build_decompose_rows(p, a.xmin, a.xmax, a.samples),
                   {"csv": lambda a, p, rows, w: ds.decompose_csv(rows, w),
                    "json": lambda a, p, rows, w: ds.decompose_json(p, rows, w)}),
@@ -115,12 +116,12 @@ _COMMANDS = {
                {"csv": lambda a, p, xs, w: ds.invert_csv(xs, w),
                 "json": lambda a, p, xs, w: ds.invert_json(p, a.t, xs, w)}),
     "params": (lambda a, p: ds.params_dict(p),
-               {"json": lambda a, p, doc, w: w(json.dumps(doc, indent=2) + "\n")}),
+               {"json": lambda a, p, doc, w: ds.write_json(doc, w)}),
 }
 
 
 def _run(args: argparse.Namespace) -> None:
-    """Build, then stream chunks to ``--out`` or stdout: a failed build makes no file."""
+    """Build (roots included), then stream to ``--out`` or stdout: a failed build makes no file."""
     params = validate_params(args.hbar, args.m, args.alpha, args.beta, args.k,
                              args.tau)
     build, writers = _COMMANDS[args.command]

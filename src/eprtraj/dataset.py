@@ -1,9 +1,9 @@
 """Dataset assembly and CSV/JSON serialization.
 
-Datasets are numpy columns.  Writers call ``write`` once per chunk of 2**15
-rows, built with no Python loop over the rows.  CSV numbers carry 9 significant
-digits with C-locale formatting; JSON floats use Python's shortest round-trip
-representation, so a re-read reproduces every value bit-identically.
+Datasets are numpy columns.  Writers call ``write`` once per chunk of 2**15 rows, built with no
+Python loop over the rows.  CSV numbers carry 9 significant digits with C-locale formatting.  A
+JSON document is a dict, its big lists column-backed, laid out by ``json.dumps(indent=2)``
+(:func:`write_json`); its floats re-read bit-identically (shortest round-trip representation).
 """
 
 from __future__ import annotations
@@ -56,40 +56,61 @@ def _fill(write, template: str, *columns, head: str = "") -> None:
 
 def _json_cells(values) -> np.ndarray:
     """A column as ``json.dumps`` writes its cells, in an object array: text (an object
-    array) as it is, integers by ``str``, floats by repr or NaN/Infinity/-Infinity."""
+    array) as it is, words quoted, integers by ``str``, floats by repr or NaN/Infinity."""
     values = np.asarray(values)
     if values.dtype == object:
         return values
+    if values.dtype.kind == "U":
+        return np.array(list(map(json.dumps, values.tolist())), dtype=object)
     cells = np.fromiter(map(repr, values.tolist()), dtype=object, count=values.size)
     bad = ~np.isfinite(values)
     cells[bad] = [json.dumps(v) for v in values[bad].tolist()]
     return cells
 
 
-def _json_list(write, head: str, record: str, *columns, indent="  ", tail="") -> None:
-    """``write`` ``head``, one ``record`` (a ``%s`` per column) per row as ``json.dumps(
-    indent=2)`` lays out a list closing at ``indent``, then ``tail``.  Each chunk is one
-    ``join`` of an object buffer: the record's pieces in its even columns (the first and
-    last also open and close the list), the cells in the odd ones."""
-    n = len(columns[0])
-    if not n:
-        return write(head + "[]" + tail)
-    pieces = record.split("%s")
-    buf = np.empty((min(n, _CHUNK_ROWS), 2 * len(pieces) - 1), dtype=object)
-    buf[:, ::2] = np.array(pieces[:-1] + [pieces[-1] + ",\n"], dtype=object)
-    for lo in range(0, n, _CHUNK_ROWS):
-        m = min(n - lo, _CHUNK_ROWS)
-        for j, column in enumerate(columns):
-            buf[:m, 2 * j + 1] = _json_cells(column[lo:lo + m])
-        buf[0, 0] = (head + "[\n" if lo == 0 else "") + pieces[0]
-        if lo + m == n:
-            buf[m - 1, -1] = pieces[-1] + "\n" + indent + "]" + tail
-        write("".join(buf[:m].ravel().tolist()))
+class _Records:
+    """A list of records laid out as ``record``: a dict or list (or a bare leaf) whose leaves
+    are the equal-length columns (arrays) filling one record per row, in order."""
+
+    HOLE = "\0"  # where a leaf is laid out: no key or text of a document is this string
+
+    def __init__(self, record):
+        self.record, self.columns = record, []
+        json.dumps(record, default=self.columns.append)  # the leaves, in layout order
 
 
-def _json_head(params: ModelParams) -> str:
-    """``json.dumps({"params": ...}, indent=2)`` up to the params' closing brace."""
-    return json.dumps({"params": params_dict(params)}, indent=2)[:-2]
+def write_json(doc, write) -> None:
+    """``write`` ``json.dumps(doc, indent=2) + "\\n"``, each :class:`_Records` a list, one call
+    per chunk of 2**15 records.  ``json.dumps`` lays each list out as two records of holes; the
+    text between holes is the text around the lists, inside a record and between two records."""
+    lists = []
+
+    def holes(value):  # a list of records or a leaf of one
+        if not isinstance(value, _Records):
+            return _Records.HOLE
+        if not len(value.columns[0]):
+            return []
+        lists.append(value)
+        return [value.record] * 2
+
+    pieces = (json.dumps(doc, indent=2, default=holes) + "\n").split(json.dumps(_Records.HOLE))
+    if not lists:
+        return write(pieces[0])
+    lead, at = pieces[0], 0  # the text before a list rides on its first chunk, after on its last
+    for records in lists:
+        width, n = len(records.columns), len(records.columns[0])
+        buf = np.empty((min(n, _CHUNK_ROWS), 2 * width), dtype=object)
+        buf[:, 1::2] = pieces[at + 1:at + width + 1]  # the inner pieces, then the separator
+        at += 2 * width
+        for lo in range(0, n, _CHUNK_ROWS):
+            m = min(n - lo, _CHUNK_ROWS)
+            for j, column in enumerate(records.columns):
+                buf[:m, 2 * j] = _json_cells(column[lo:lo + m])
+            buf[0, 0], lead = lead + buf[0, 0], ""
+            if lo + m == n:
+                buf[m - 1, -1] = pieces[at]
+            write("".join(buf[:m].ravel().tolist()))
+        del buf  # the last chunk's cells, before the next list's buffer is made
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +148,10 @@ def _sample_grid(x_min: float, x_max: float, samples: int, params: ModelParams) 
 def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
                              samples: int) -> TrajectoryDataset:
     xs = _sample_grid(x_min, x_max, samples, params)
-    ts, slopes = _time_array(xs, params), _dtdx_array(xs, params)
+    with np.errstate(over="ignore"):  # _validate_range bounds |g| and |t|, not |g| / D^2
+        ts, slopes = _time_array(xs, params), _dtdx_array(xs, params)
+    if np.isinf(slopes).any():
+        raise ValueError(f"dt/dx = g / D^2 overflows at x = {xs[np.isinf(slopes).argmax()]}")
     tps = find_turning_points(x_min, x_max, params)
     return TrajectoryDataset(params, xs, ts, slopes, turning_points=tps,
                              branch_id=np.searchsorted(tps.x, xs))
@@ -138,26 +162,18 @@ def trajectory_csv(ds: TrajectoryDataset, write) -> None:
           head="x,t,dtdx,branch_id,direction\n")
 
 
-_ROW_JSON = ('    {\n      "x": %s,\n      "t": %s,\n      "dtdx": %s,\n'
-             '      "branch_id": %s,\n      "direction": "%s"\n    }')
-_TURNING_JSON = '    {\n      "x": %s,\n      "t": %s,\n      "kind": "%s"\n    }'
-_EVENT_JSON = ('    {\n      "kind": "%s",\n      "x": %s,\n      "t": %s,\n'
-               '      "branch_ids": [\n        %s,\n        %s\n      ]\n    }')
-
-
 def trajectory_json(ds: TrajectoryDataset, write) -> None:
-    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``.  Event ``i`` sits on turning
-    point ``i``, joins branches ``i`` and ``i + 1`` and shares its rendered cells."""
+    """Event ``i`` shares turning point ``i``'s cells and joins branches ``i`` and ``i + 1``."""
     tps = ds.turning_points
     x, t, top = _json_cells(tps.x), _json_cells(tps.t), tps.maximum.astype(np.intp)
     ids = _json_cells(np.arange(len(tps) + 1))
-    _json_list(write, _json_head(ds.params) + ',\n  "rows": ', _ROW_JSON,
-               ds.x, ds.t, ds.dtdx, ds.branch_id, ds.direction)
-    _json_list(write, ',\n  "turning_points": ', _TURNING_JSON, x, t,
-               np.array((TEMPORAL_MIN, TEMPORAL_MAX), dtype=object)[top])
-    _json_list(write, ',\n  "events": ', _EVENT_JSON,
-               np.array((CREATION, ANNIHILATION), dtype=object)[top], x, t, ids[:-1], ids[1:],
-               tail="\n}\n")
+    write_json({"params": params_dict(ds.params), "rows": _Records(
+                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": ds.branch_id,
+                     "direction": _json_cells(_DIRECTIONS)[_direction_index(ds.dtdx)]}),
+                "turning_points": _Records(
+                    {"x": x, "t": t, "kind": _json_cells((TEMPORAL_MIN, TEMPORAL_MAX))[top]}),
+                "events": _Records({"kind": _json_cells((CREATION, ANNIHILATION))[top],
+                                    "x": x, "t": t, "branch_ids": [ids[:-1], ids[1:]]})}, write)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,22 +216,14 @@ def sweep_csv(ds: SweepDataset, write) -> None:
             head = ""
 
 
-_POINT_JSON = '        {\n          "x": %s,\n          "t": %s\n        }'
-_WEDGE_JSON = '    {\n      "x": %s,\n      "t_lower": %s,\n      "t_upper": %s\n    }'
-
-
 def sweep_json(ds: SweepDataset, write) -> None:
-    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``; the wedge lists x >= 0
-    only.  Each curve's rows are written as they are rendered; ``x`` once for all."""
-    x = _json_cells(ds.xs)
-    head = _json_head(ds.params) + ',\n  "curves": [\n'
-    for beta, t in zip(_json_cells(ds.betas), ds.t):
-        _json_list(write, f'{head}    {{\n      "beta": {beta},\n      "rows": ', _POINT_JSON,
-                   x, t, indent="      ")
-        head = "\n    },\n"
-    keep = ds.xs >= 0.0
-    _json_list(write, '\n    }\n  ],\n  "wedge": ', _WEDGE_JSON, x[keep], ds.t_lower[keep],
-               ds.t_upper[keep], tail="\n}\n")
+    """The wedge lists x >= 0 only; ``x`` is rendered once for all curves."""
+    x, keep = _json_cells(ds.xs), ds.xs >= 0.0
+    write_json({"params": params_dict(ds.params),
+                "curves": [{"beta": beta, "rows": _Records({"x": x, "t": t})}
+                           for beta, t in zip(ds.betas, ds.t)],
+                "wedge": _Records({"x": x[keep], "t_lower": ds.t_lower[keep],
+                                   "t_upper": ds.t_upper[keep]})}, write)
 
 
 def build_decompose_rows(params: ModelParams, x_min: float, x_max: float,
@@ -229,14 +237,9 @@ def decompose_csv(rows: np.ndarray, write) -> None:
     _fill(write, "%.9g,%.9g,%.9g,%.9g,%.9g\n", *rows.T, head="x,c_p1,c_p2,c_ent,total\n")
 
 
-_DECOMPOSE_JSON = ('    {\n      "x": %s,\n      "c_p1": %s,\n      "c_p2": %s,\n'
-                   '      "c_ent": %s,\n      "total": %s\n    }')
-
-
 def decompose_json(params: ModelParams, rows: np.ndarray, write) -> None:
-    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``."""
-    _json_list(write, _json_head(params) + ',\n  "rows": ', _DECOMPOSE_JSON, *rows.T,
-               tail="\n}\n")
+    write_json({"params": params_dict(params), "rows": _Records(
+        dict(zip(("x", "c_p1", "c_p2", "c_ent", "total"), rows.T)))}, write)
 
 
 def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
@@ -258,16 +261,12 @@ def limit_csv(rows, write) -> None:
           ["" if r is None else fmt9(r) for r in ratio], head="alpha,x,t,m_q,ratio\n")
 
 
-_LIMIT_JSON = ('    {\n      "alpha": %s,\n      "x": %s,\n      "t": %s,\n      "m_q": %s,\n'
-               '      "ratio": %s\n    }')
-
-
 def limit_json(params: ModelParams, side: str, rows, write) -> None:
-    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``; no ratio is ``null``."""
-    *columns, ratio = zip(*rows)
-    _json_list(write, f'{_json_head(params)},\n  "side": {json.dumps(side)},\n  "rows": ',
-               _LIMIT_JSON, *columns, np.array(list(map(json.dumps, ratio)), dtype=object),
-               tail="\n}\n")
+    """No ratio is ``null``."""
+    alpha, x, t, m_q, ratio = map(np.array, zip(*rows))
+    write_json({"params": params_dict(params), "side": side, "rows": _Records(
+        {"alpha": alpha, "x": x, "t": t, "m_q": m_q,
+         "ratio": np.array(list(map(json.dumps, ratio.tolist())), dtype=object)})}, write)
 
 
 def build_invert_positions(params: ModelParams, t: float, x_min: float,
@@ -280,6 +279,5 @@ def invert_csv(positions, write) -> None:
 
 
 def invert_json(params: ModelParams, t: float, positions, write) -> None:
-    """Byte-identical to ``json.dumps(doc, indent=2) + "\\n"``."""
-    _json_list(write, f'{_json_head(params)},\n  "t": {json.dumps(t)},\n  "positions": ',
-               "    %s", positions, tail="\n}\n")
+    write_json({"params": params_dict(params), "t": t,
+                "positions": _Records(np.asarray(positions, dtype=float))}, write)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 
-from . import trajectory
 # build_trajectory_dataset stays importable here: perfbench/tracing.py wraps it
 from .dataset import SweepDataset, build_trajectory_dataset  # noqa: F401
+from .trajectory import TEMPORAL_MAX
 
 _WIDTH = 720
 _HEIGHT = 540
@@ -37,8 +37,9 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def render_figure(figure_id: int, ds: SweepDataset, markers: bool = False) -> str:
-    """Figure 1 or 2 as an SVG 1.1 document: ``ds`` sweeps its betas on the plotted x-range."""
+def render_figure(figure_id: int, ds: SweepDataset, turning_points, write) -> None:
+    """``write`` figure 1 or 2 as SVG 1.1, one call per curve: ``ds`` sweeps the figure's betas
+    on the plotted x-range, ``turning_points`` holds each curve's markers (empty for none)."""
     if figure_id not in FIGURES or ds.betas != FIGURES[figure_id][0]:
         raise ValueError(f"no figure {figure_id} of betas {ds.betas}")
     betas, colors, dashes = FIGURES[figure_id]
@@ -90,14 +91,13 @@ def render_figure(figure_id: int, ds: SweepDataset, markers: bool = False) -> st
                  'text-anchor="middle">x</text>')
 
     points = " ".join(map("%%.3f,%.3f".__mod__, to_py(xs).tolist()))  # "%.3f,<y> ..."
-    for beta, ts, color, dash in zip(betas, ds.t, colors, dashes):
+    for i, (ts, color, dash, tps) in enumerate(zip(ds.t, colors, dashes, turning_points)):
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4"'
                      f'{dash} points="{points % tuple(to_px(ts).tolist())}"/>')
-        if markers:
-            for tp in trajectory.find_turning_points(x_min, x_max, ds.params.replace(beta=beta)):
-                fill = "#b23434" if tp.kind == trajectory.TEMPORAL_MAX else "#2c8c50"
-                parts.append(f'<circle cx="{to_px(tp.t):.2f}" cy="{to_py(tp.x):.2f}" '
-                             f'r="3.5" fill="{fill}"/>')
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        for tp in tps:
+            fill = "#b23434" if tp.kind == TEMPORAL_MAX else "#2c8c50"
+            parts.append(f'<circle cx="{to_px(tp.t):.2f}" cy="{to_py(tp.x):.2f}" '
+                         f'r="3.5" fill="{fill}"/>')
+        parts += ["</svg>", ""] if i == len(betas) - 1 else [""]
+        write("\n".join(parts))
+        parts = []

@@ -175,8 +175,12 @@ def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
                   period: float) -> np.ndarray:
     """Positions inside ``(x_min, x_max)`` where ``2kx + beta = phase (mod period)``."""
     k, b = params.k, params.beta
-    n = np.arange(math.floor((2.0 * k * x_min + b - phase) / period),
-                  math.ceil((2.0 * k * x_max + b - phase) / period) + 1)
+    try:
+        n = np.arange(math.floor((2.0 * k * x_min + b - phase) / period),
+                      math.ceil((2.0 * k * x_max + b - phase) / period) + 1)
+    except ValueError:  # more points than an array can index
+        raise ValueError(f"[{x_min}, {x_max}] spans {2.0 * k * (x_max - x_min) / math.pi:.3g} "
+                         "half-periods of cos(2kx + beta): too many to search") from None
     xs = (phase + period * n - b) / (2.0 * k)
     return xs[(xs > x_min) & (xs < x_max)]
 

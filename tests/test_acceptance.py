@@ -198,8 +198,11 @@ def _parse_svg_points(text):
 
 def _figure(figure_id, params):
     """Figure ``figure_id`` as the CLI draws it by default: x in [0, 4], 2001 samples."""
-    return render_figure(figure_id, build_sweep_dataset(params, FIGURES[figure_id][0], 0.0, 4.0,
-                                                        2001))
+    betas = FIGURES[figure_id][0]
+    chunks = []
+    render_figure(figure_id, build_sweep_dataset(params, betas, 0.0, 4.0, 2001),
+                  [()] * len(betas), chunks.append)
+    return "".join(chunks)
 
 
 def test_criterion_10_figure_reproduction(ref_params):

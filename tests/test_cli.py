@@ -508,8 +508,9 @@ def test_json_writers_match_generic_encoder_at_chunk_edges(n, bulk_cells, monkey
     # The generic encoder takes seconds per 2**15 records, so the writers' chunk edges
     # are checked on an 8-record chunk (test_invert_json_at_chunk_edges keeps 2**15).
     from eprtraj import dataset
-    from eprtraj.dataset import (SweepDataset, TrajectoryDataset, decompose_json, params_dict,
-                                 sweep_json, trajectory_json)
+    from eprtraj import validate_params
+    from eprtraj.dataset import (SweepDataset, TrajectoryDataset, decompose_json, limit_json,
+                                 params_dict, sweep_json, trajectory_json, write_json)
     monkeypatch.setattr(dataset, "_CHUNK_ROWS", 8)
     cells, p = bulk_cells[0][-n:], _params_ref()  # the last three rows are special
     tps = _turning_points(np.arange(n) / 7.0, cells[:, 4], np.arange(n) % 2 == 0)
@@ -525,6 +526,15 @@ def test_json_writers_match_generic_encoder_at_chunk_edges(n, bulk_cells, monkey
            "rows": [dict(zip(("x", "c_p1", "c_p2", "c_ent", "total"), row))
                     for row in cells.tolist()]}
     assert _written(decompose_json, p, cells) == json.dumps(doc, indent=2) + "\n"
+    names = ("alpha", "x", "t", "m_q", "ratio")
+    rows = [(*row[:4], None if i % 3 else row[4]) for i, row in enumerate(cells.tolist())]
+    for side in ("below", "above"):
+        doc = {"params": params_dict(p), "side": side, "rows": [dict(zip(names, row))
+                                                                for row in rows]}
+        assert _written(limit_json, p, side, rows) == json.dumps(doc, indent=2) + "\n"
+    for params in (p, validate_params(1e-300, 5e-324, 1.5, -0.0, 1e300, tau=-1e300)):
+        doc = params_dict(params)  # the params command's document
+        assert _written(write_json, doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_writers_call_the_sink_once_per_chunk(bulk_cells):
@@ -569,14 +579,23 @@ def test_figure_points_match_per_point_reference(figure_id):
     from eprtraj import validate_params
     from eprtraj.dataset import build_sweep_dataset
     from eprtraj.svgfig import FIGURES, render_figure
-    from eprtraj.trajectory import time_of_position
+    from eprtraj.trajectory import find_turning_points, time_of_position
     p = validate_params(1.0, 1.0, 1.5, 0.0, math.pi / 2, tau=-1.0)
-    text = render_figure(figure_id, build_sweep_dataset(p, FIGURES[figure_id][0], -2.0, 3.0, 333))
+    betas = FIGURES[figure_id][0]
+    markers = [find_turning_points(-2.0, 3.0, p.replace(beta=beta)) for beta in betas]
+    chunks = []
+    render_figure(figure_id, build_sweep_dataset(p, betas, -2.0, 3.0, 333), markers,
+                  chunks.append)
+    # one chunk per polyline with its markers, the head and </svg> riding along
+    assert [(c.count("<polyline"), c.count("<circle")) for c in chunks] == [
+        (1, len(tps)) for tps in markers]
+    assert chunks[0].startswith("<?xml") and chunks[-1].endswith("</svg>\n")
+    text = "".join(chunks)
     t_lo, t_hi, px_l, px_r, x_min, x_max, py_b, py_t = (
         float(v) for v in _DESC.search(text).groups())
     assert t_lo < 0.0
     xs = np.linspace(-2.0, 3.0, 333)
-    betas = [0.0, math.pi] if figure_id == 1 else [j * math.pi / 4.0 for j in range(8)]
+    assert betas == ([0.0, math.pi] if figure_id == 1 else [j * math.pi / 4.0 for j in range(8)])
     ref = []
     for beta in betas:
         ts = time_of_position(xs, p.replace(beta=beta), np)
@@ -592,7 +611,7 @@ def test_figure_of_other_betas_raises(figure_id, betas):
     from eprtraj.svgfig import render_figure
     sweep = build_sweep_dataset(_params_ref(), betas, 0.0, 4.0, 11)
     with pytest.raises(ValueError, match=f"no figure {figure_id} of betas"):
-        render_figure(figure_id, sweep)
+        render_figure(figure_id, sweep, [()] * len(betas), lambda text: None)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -612,6 +631,9 @@ def test_stdout_bytes_equal_out_bytes(name, tmp_path, capsysbinary):
     (["limit", "--side", "below", "--alphas", "0.99,0.9", "--x", "1"], 2),
     (["trajectory", "--alpha", "1"], 3),
     (["limit", "--side", "below", "--alphas", "0.9,1", "--x", "1", "--format", "json"], 3),
+    # the markers' root search fails: it runs before --out opens
+    (["figure", "1", "--alpha", "0.99999999", "--xmin", "0.1", "--xmax", "3.9", "--samples",
+      "2000", "--markers"], 3),
 ])
 def test_failed_run_leaves_no_file(argv, code, tmp_path):
     out = tmp_path / "out.txt"
@@ -678,6 +700,11 @@ def _finite_json(text):
      "t = tau + c x / D overflows on [-4.0, 0.0]"),
     (["invert", "--t", "1e307", "--alpha", "2", "--k", "1e-3", "--xmax", "100",
       "--m", "3.34e302"], "h = c x - (t - tau) D overflows at t = 1e+307 on [0.0, 100.0]"),
+    # |g| and |t| are in range, |g| / D^2 is not
+    (["trajectory", "--alpha", "0.9999", "--m", "1e303", "--xmin", "1.00001", "--xmax", "1.0001",
+      "--samples", "4"], "dt/dx = g / D^2 overflows at x = 1.00001"),
+    (["trajectory", "--xmin=-1e300", "--xmax", "0", "--samples", "3"],
+     "[-1e+300, 0.0] spans 1e+300 half-periods of cos(2kx + beta): too many to search"),
 ])
 def test_overflowing_parameters_exit_2(argv, message, capsys):
     assert run_main(argv) == 2
