@@ -87,7 +87,7 @@ def conjugate_momentum(x: float, params: ModelParams) -> float:
     Satisfies the continuity identity ``D * W' = hbar * k`` exactly.  Note
     this is not the mechanical momentum ``M * dx/dt`` along the trajectory.
     """
-    return params.hbar * params.k / amplitude_squared(x, params, math, True)
+    return params.hbar * params.k / amplitude_squared(x, params)
 
 
 def quantum_potential(x: float, params: ModelParams) -> float:
@@ -96,7 +96,7 @@ def quantum_potential(x: float, params: ModelParams) -> float:
     This is the stationary Hamilton-Jacobi residual ``E - W'^2/(2M)`` for a
     free molecule, with ``W'`` the conjugate momentum above.
     """
-    d = amplitude_squared(x, params, math, True)
+    d = amplitude_squared(x, params)
     return params.E * (1.0 - 1.0 / (d * d))
 
 
@@ -107,10 +107,7 @@ def effective_quantum_mass(x, params: ModelParams, xp=math) -> QuantumMassSample
     amplitude; ``dQ/dE`` is taken at fixed ``(x, alpha, beta, m, hbar)`` with
     ``k = sqrt(2 M E) / hbar``.  The composite mass ``M`` multiplies the
     bracket.  ``x`` is a float, or an array with ``xp=np``.
-
-    Raises:
-        SingularityError: on a standing-wave node.
     """
-    d = amplitude_squared(x, params, xp, True)
+    d = amplitude_squared(x, params, xp)
     return QuantumMassSample(x, params.E * (1.0 - 1.0 / (d * d)),
                              params.M * _slope_factor(x, params, d, xp) / (d * d * d))

@@ -1,7 +1,7 @@
 """Command-line interface: datasets, figures and limit/decomposition reports.
 
-Exit codes: 0 on success, 2 on argument/validation errors, 3 on numerical
-failures (standing-wave nodes, turning-point singularities).
+Exit codes: 0 on success, 2 on argument/validation errors (a quantity past the
+float range included), 3 on a numerical failure (any ArithmeticError).
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ from .entanglon import (_divergence_ratio, _time_parts,  # noqa: F401
 from .model import LimitSeries, ModelParams
 from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION,  # noqa: F401
                          TEMPORAL_MAX, TEMPORAL_MIN, TrajectoryEvent, TurningPoints,
-                         _direction_index, _dtdx_array, _time_array, _validate_range,
-                         _wedge_edges, find_turning_points, pair_events, positions_at_time,
-                         time_of_position, wedge_bounds)
+                         _direction_index, _dtdx_array, _require_finite, _time_array,
+                         _validate_range, _wedge_edges, find_turning_points, pair_events,
+                         positions_at_time, time_of_position, wedge_bounds)
 
 _CHUNK_ROWS = 2 ** 15
 
@@ -246,10 +246,12 @@ def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
     """Rows (alpha, x, t, m_q, ratio) of the one-sided limit study.
 
     ``ratio`` is the divergence diagnostic t / (2mx/(hbar k (1-alpha))); it
-    is only meaningful at trigger points and is None elsewhere.
+    is only meaningful at trigger points and is None elsewhere.  A ``t`` or
+    ``m_q`` past the float range raises ValueError naming it and its alpha.
     """
     def row(x, p):
         t, m_q = time_of_position(x, p), effective_quantum_mass(x, p).m_q
+        _require_finite(f"at alpha = {p.alpha}", ("t", t), ("m_q", m_q))
         ratio = _divergence_ratio(t, x, p) if is_trigger_point(x, p) and x != 0.0 else None
         return p.alpha, x, t, m_q, ratio
     return list(LimitSeries.study(x, params, alphas, side, row).values)

@@ -3,7 +3,8 @@
 The motion splits into a weighted free-particle term per recoiling particle
 plus an emergent entanglement term (the "entanglon") that carries the
 interference factor ``cos(2kx + beta)``.  Contributions are stored signed so
-they sum exactly to the total time.  Trigger points are the positions of
+they sum exactly to the total, the time since the epoch ``t - tau = c x / D``
+(``tau`` shifts ``t``, not the terms).  Trigger points are the positions of
 maximum destructive interference, ``cos(2kx + beta) = -1``, where the
 entanglon term diverges as alpha -> 1.
 """
@@ -36,7 +37,7 @@ def is_trigger_point(x: float, params: ModelParams) -> bool:
 
 
 def decompose_time(x: float, params: ModelParams) -> Decomposition:
-    """Split ``time_of_position(x)`` into its three signed contributions.
+    """Split the time since the epoch, ``t(x) - tau = c x / D``, into three signed terms.
 
     ``c_p1 = (mx/hbar k)/(1+a^2)`` and ``c_p2 = -(mx/hbar k) a^2/(1+a^2)``
     are the weighted free motions of the two particles; ``c_ent`` carries
@@ -49,7 +50,7 @@ def decompose_time(x: float, params: ModelParams) -> Decomposition:
 def _time_parts(x, params: ModelParams, xp=math):
     """``(c_p1, c_p2, c_ent, total)`` of :func:`decompose_time`, float or array (``xp=np``)."""
     a = params.alpha
-    d = amplitude_squared(x, params, xp, True)
+    d = amplitude_squared(x, params, xp)
     cos_th = xp.cos(2.0 * params.k * x + params.beta)
     u = params.m * x / (params.hbar * params.k)
     weight = 1.0 + a * a

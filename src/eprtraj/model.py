@@ -109,8 +109,8 @@ class LimitSeries:
     @classmethod
     def study(cls, x: float, params: ModelParams, alphas, side: str, value) -> LimitSeries:
         """``value(x, p)`` at each alpha of a checked sequence, ``p`` the params at that
-        alpha.  The checks come first: a malformed study is a ValueError even where
-        one of its alphas sits on a standing-wave node."""
+        alpha.  The checks come first: a malformed study is a ValueError before any
+        value is computed."""
         if not math.isfinite(x):
             raise ValueError(f"x must be finite, got x={x}")
         alphas = list(alphas)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InfiniteVelocityError
 from .model import ModelParams
 from .rootfind import ROOT_XTOL, bisect_root
-from .wavefunction import MIN_AMPLITUDE_SQUARED, _slope_factor, amplitude_squared
+from .wavefunction import _slope_factor, amplitude_squared
 
 FORWARD = "forward"
 RETROGRADE = "retrograde"
@@ -127,13 +127,13 @@ def time_of_position(x, params: ModelParams, xp=math) -> float:
     Single-valued in ``x``; the inverse map (:func:`positions_at_time`) can
     return several positions for one time.
     """
-    d = amplitude_squared(x, params, xp, True)
+    d = amplitude_squared(x, params, xp)
     return params.tau + params.c * x / d
 
 
 def dtdx(x, params: ModelParams, xp=math) -> float:
     """Analytic derivative ``c (D - x D') / D^2`` of :func:`time_of_position`."""
-    d = amplitude_squared(x, params, xp, True)
+    d = amplitude_squared(x, params, xp)
     return params.c * _slope_factor(x, params, d, xp) / (d * d)
 
 
@@ -159,7 +159,7 @@ def _require_finite(where: str, *bounds) -> None:
 def _validate_range(x_min: float, x_max: float, params: ModelParams) -> None:
     """Finite ``x_min < x_max`` on which the phase ``2kx + beta`` and the bounds of ``|c x|``,
     ``|g| = |c (D - x D')|`` (``|D - x D'| <= (1+alpha)^2 + 4 alpha k |x|``) and ``|t|``
-    (``D >= max((1-alpha)^2, MIN_AMPLITUDE_SQUARED)`` off the nodes) stay finite."""
+    (``D >= (1-alpha)^2``; at ``alpha == 1``, ``c == 0`` and ``t == tau``) stay finite."""
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
     k, a, c, reach = params.k, params.alpha, abs(params.c), max(-x_min, x_max)
@@ -167,8 +167,8 @@ def _validate_range(x_min: float, x_max: float, params: ModelParams) -> None:
                     *[("the phase 2kx + beta", 2.0 * k * x + params.beta) for x in (x_min, x_max)],
                     ("c x", c * reach),
                     ("g = c (D - x D')", c * ((1.0 + a) * (1.0 + a) + 4.0 * a * k * reach)),
-                    ("t = tau + c x / D", abs(params.tau) + c * reach
-                     / max((1.0 - a) * (1.0 - a), MIN_AMPLITUDE_SQUARED)))
+                    ("t = tau + c x / D", abs(params.tau)
+                     + (c * reach / ((1.0 - a) * (1.0 - a)) if c else 0.0)))
 
 
 def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
@@ -189,13 +189,12 @@ def _bracketed_roots(f, x_min: float, x_max: float, params: ModelParams, cuts):
     """Edges, ``f`` on them, the edges opening a sign change, and the root in each.
 
     The edges are the range ends, the ``cuts`` (``f`` is monotone between
-    edges) and the trigger points (``cos(2kx + beta) = -1``): ``D`` is smallest
-    there or at an end, so the edges are where a node raises SingularityError.
+    edges) and the trigger points (``cos(2kx + beta) = -1``), which fix every root's
+    bits as the golden files pin them: ITP's iterates depend only on their edges.
     """
-    nodes = _phase_points(x_min, x_max, params, math.pi, 2.0 * math.pi)
-    edges = np.sort(np.concatenate([[x_min, x_max], nodes, *cuts]))
+    triggers = _phase_points(x_min, x_max, params, math.pi, 2.0 * math.pi)
+    edges = np.sort(np.concatenate([[x_min, x_max], triggers, *cuts]))
     edges = edges[np.concatenate(([True], np.diff(edges) > 0.0))]  # np.unique loads np.ma
-    amplitude_squared(edges, params, np, True)
     fe = f(edges)
     i = np.flatnonzero(np.sign(fe[:-1]) * np.sign(fe[1:]) < 0.0)  # fe * fe may overflow
     return edges, fe, i, bisect_root(f, edges[i], edges[i + 1], fe[i], fe[i + 1])

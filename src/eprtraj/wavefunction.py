@@ -11,14 +11,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import SingularityError
 from .model import LimitSeries, ModelParams
-
-# Below this squared amplitude the molecule sits on a standing-wave node and
-# momentum/time evaluations overflow; callers get a SingularityError instead.
-MIN_AMPLITUDE_SQUARED = 1e-14
 
 
 class PolarForm(NamedTuple):
@@ -29,26 +22,22 @@ class PolarForm(NamedTuple):
     amplitude_squared: float
 
 
-def amplitude_squared(x, params: ModelParams, xp=math, checked: bool = False):
+def amplitude_squared(x, params: ModelParams, xp=math):
     """Squared amplitude ``D = 1 + alpha^2 + 2 alpha cos(2kx + beta)``.
 
     ``x`` is a float, or an array with ``xp=np``: every kernel formula takes
-    ``xp`` and is written once for both.  With ``checked`` a standing-wave node
-    raises :class:`SingularityError`: ``D`` (for an array, its smallest value)
-    below ``MIN_AMPLITUDE_SQUARED``.
+    ``xp`` and is written once for both.
+
+    Node policy: ``D > 0`` at every double input, so nothing checks for nodes.
+    ``D`` is computed as ``(1 - alpha)^2 + 4 alpha cos^2(kx + beta/2)``, a sum of
+    two non-negative doubles with no cancellation, so ``D >= (1 - alpha)^2 > 0``
+    for ``alpha != 1``.  At ``alpha == 1``, ``D = 4 cos^2(...)`` is 0 only where
+    ``cos`` returns exactly 0, which no double argument gives, and ``c == 0``
+    there, so ``t == tau`` and ``dt/dx == 0``.
     """
-    # (1-a)^2 + 4a cos^2(kx + b/2) == 1 + a^2 + 2a cos(2kx + b), rewritten so
-    # no cancellation occurs near standing-wave nodes (both terms are >= 0).
     alpha = params.alpha
     c = xp.cos(params.k * x + 0.5 * params.beta)
-    d = (1.0 - alpha) * (1.0 - alpha) + 4.0 * alpha * c * c
-    if checked:
-        low = d < MIN_AMPLITUDE_SQUARED
-        if low if xp is math else low.any():
-            i = np.argmin(d)
-            raise SingularityError(f"amplitude squared is {np.ravel(d)[i]:.3e} "
-                                   f"at x={np.ravel(x)[i]}: standing-wave node")
-    return d
+    return (1.0 - alpha) * (1.0 - alpha) + 4.0 * alpha * c * c
 
 
 def _slope_factor(x, params: ModelParams, d, xp=math):

@@ -5,7 +5,7 @@ import math
 import mpmath
 import pytest
 
-from eprtraj import amplitude_squared, reduced_action_unwrapped, validate_params
+from eprtraj import amplitude_squared, validate_params
 
 # Reference parameter set used throughout: hbar = m = 1, k = pi/2,
 # alpha = 0.5, beta = 0, tau = 0.
@@ -32,28 +32,6 @@ def five_point_second(f, x, h):
             - f(x - 2 * h)) / (12 * h * h)
 
 
-def jacobi_time_estimate(x, params, rel=1e-6):
-    """Central difference of the unwrapped action along the energy ray.
-
-    The wavenumber is perturbed as k * sqrt(1 +- rel) so the energy moves by
-    +-rel relative, and the quotient uses the single-particle energy scale
-    E = hbar^2 k^2 / (2 m): that is the normalization under which the
-    closed-form motion is the exact energy derivative of the unwrapped
-    action (the composite scale M yields (1 + alpha^2) times the motion).
-    """
-    k0 = params.k
-    k_hi = k0 * math.sqrt(1.0 + rel)
-    k_lo = k0 * math.sqrt(1.0 - rel)
-    p_hi = validate_params(params.hbar, params.m, params.alpha, params.beta, k_hi,
-                           params.tau)
-    p_lo = validate_params(params.hbar, params.m, params.alpha, params.beta, k_lo,
-                           params.tau)
-    w_hi = reduced_action_unwrapped(x, p_hi)
-    w_lo = reduced_action_unwrapped(x, p_lo)
-    de = params.hbar ** 2 * (k_hi ** 2 - k_lo ** 2) / (2.0 * params.m)
-    return params.tau + (w_hi - w_lo) / de
-
-
 def energy_difference_mass(x, params, step=1e-6):
     """Effective quantum mass M (1 - dQ/dE) by a central difference in E.
 
@@ -70,6 +48,14 @@ def energy_difference_mass(x, params, step=1e-6):
     return params.M * (1.0 - (q_at(e_hi) - q_at(e_lo)) / (e_hi - e_lo))
 
 
+def _mp_phase(xm, a, b, k):
+    """:func:`mp_phase` from mpf inputs."""
+    s = k * xm + b / 2
+    r = (1 - a) / (1 + a)
+    sheet = mpmath.floor(s / mpmath.pi + mpmath.mpf(0.5))
+    return -b / 2 + mpmath.atan(r * mpmath.tan(s)) + mpmath.sign(r) * mpmath.pi * sheet
+
+
 def mp_phase(x, params):
     """Continuous phase of the wave function at 50 digits, from the same floats.
 
@@ -78,13 +64,25 @@ def mp_phase(x, params):
     r = (1 - a)/(1 + a): a route independent of the library's arctangents.
     """
     with mpmath.workdps(50):
-        a = mpmath.mpf(params.alpha)
-        s = mpmath.mpf(params.k) * mpmath.mpf(x) + mpmath.mpf(params.beta) / 2
-        r = (1 - a) / (1 + a)
-        sheet = mpmath.floor(s / mpmath.pi + mpmath.mpf(0.5))
-        phase = -mpmath.mpf(params.beta) / 2 + mpmath.atan(r * mpmath.tan(s)) \
-            + mpmath.sign(r) * mpmath.pi * sheet
-        return +phase
+        a, b, k, xm = (mpmath.mpf(v) for v in (params.alpha, params.beta, params.k, x))
+        return +_mp_phase(xm, a, b, k)
+
+
+def mp_jacobi_time(x, params):
+    """Jacobi's theorem at 50 digits: t = tau + dW/dE of the closed-form unwrapped action.
+
+    W = hbar phase(x) + const (the anchor at x = 0 does not depend on k), and
+    mpmath differentiates it along the single-particle energy E = hbar^2 k^2 /
+    (2 m), with k = k0 sqrt(E/E0) pinned so that k(E0) is exactly the float k0.
+    That is the normalization under which the motion is the exact energy
+    derivative of the action (the composite scale M gives (1 + alpha^2) times it).
+    """
+    with mpmath.workdps(50):
+        a, b, k0, xm, hbar = (mpmath.mpf(v) for v in
+                              (params.alpha, params.beta, params.k, x, params.hbar))
+        e0 = hbar * hbar * k0 * k0 / (2 * mpmath.mpf(params.m))
+        return mpmath.mpf(params.tau) + mpmath.diff(
+            lambda e: hbar * _mp_phase(xm, a, b, k0 * mpmath.sqrt(e / e0)), e0)
 
 
 def mp_effective_mass(x, params):
@@ -105,19 +103,35 @@ def mp_effective_mass(x, params):
         return float(mpmath.mpf(params.M) * (1 - mpmath.diff(q, e0)))
 
 
+def mp_amplitude_squared(x, params):
+    """D = 1 + a^2 + 2 a cos(2kx + beta) at 50 digits, bipolar form, from the same floats."""
+    with mpmath.workdps(50):
+        a, b, k, xm = (mpmath.mpf(v) for v in (params.alpha, params.beta, params.k, x))
+        return 1 + a * a + 2 * a * mpmath.cos(2 * k * xm + b)
+
+
 def mp_time(x, params):
     """t(x) = tau + m x (1 - a^2) / (hbar k D) at 50 digits, bipolar form of D."""
     with mpmath.workdps(50):
-        a, b, k, xm = (mpmath.mpf(v) for v in (params.alpha, params.beta, params.k, x))
-        d = 1 + a * a + 2 * a * mpmath.cos(2 * k * xm + b)
+        a, k, xm = (mpmath.mpf(v) for v in (params.alpha, params.k, x))
         return mpmath.mpf(params.tau) + mpmath.mpf(params.m) * (1 - a * a) * xm \
-            / (mpmath.mpf(params.hbar) * k * d)
+            / (mpmath.mpf(params.hbar) * k * mp_amplitude_squared(x, params))
 
 
 def mp_root(f, x0):
     """The root of ``f`` next to the float ``x0``, by the secant method at 50 digits."""
     with mpmath.workdps(50):
         return mpmath.findroot(f, mpmath.mpf(x0))
+
+
+def mp_position(t, x0, params):
+    """The position next to ``x0`` at time ``t``: the root of c x - (t - tau) D, which has
+    the roots of t(x) - t and no pole to throw the secant method off."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(params.alpha)
+        c = mpmath.mpf(params.m) * (1 - a * a) / (mpmath.mpf(params.hbar) * mpmath.mpf(params.k))
+        dt = mpmath.mpf(t) - mpmath.mpf(params.tau)
+        return mp_root(lambda v: c * v - dt * mp_amplitude_squared(v, params), x0)
 
 
 def mp_turning_point(x0, params):

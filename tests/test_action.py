@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eprtraj import (
-    SingularityError,
     action_sample,
     amplitude_squared,
     conjugate_momentum,
@@ -19,6 +18,7 @@ from conftest import (
     five_point_derivative,
     five_point_second,
     make_params,
+    mp_amplitude_squared,
     mp_effective_mass,
     mp_phase,
 )
@@ -119,13 +119,14 @@ def test_unwrapped_derivative_is_scaled_conjugate_momentum(alpha):
 
 
 def test_singularity_at_node():
-    p = make_params(alpha=1.0)
-    with pytest.raises(SingularityError, match="x=1"):
-        conjugate_momentum(1.0, p)
-    with pytest.raises(SingularityError):
-        quantum_potential(1.0, p)
-    with pytest.raises(SingularityError):
-        effective_quantum_mass(1.0, p)
+    # x = 1 is a node of the alpha = 1 standing wave: D = 4 cos^2(fl(pi/2)) = 1.5e-32
+    # there, and 1e-16 at alpha = 1 - 1e-8: every value is finite and matches mpmath
+    for p in (make_params(alpha=1.0), make_params(alpha=1.0 - 1e-8)):
+        d = mp_amplitude_squared(1.0, p)
+        assert conjugate_momentum(1.0, p) == pytest.approx(float(p.hbar * p.k / d), rel=1e-12)
+        assert quantum_potential(1.0, p) == pytest.approx(float(p.E * (1 - 1 / d**2)), rel=1e-12)
+        assert effective_quantum_mass(1.0, p).m_q == pytest.approx(mp_effective_mass(1.0, p),
+                                                                   rel=1e-12)
 
 
 def test_quantum_potential_values(ref_params):

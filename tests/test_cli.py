@@ -9,6 +9,7 @@ import pytest
 
 from eprtraj.cli import main
 from eprtraj.dataset import fmt9
+from conftest import mp_effective_mass, mp_time, mp_turning_point
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -320,6 +321,23 @@ def test_figure_markers_flag(tmp_path):
     assert "<circle" in out.read_text()
 
 
+def test_figure_markers_at_near_nodes(tmp_path):
+    # alpha = 1 - 1e-8: D = 1e-16 at the beta = 0 curve's trigger points x = 1, 3, where t
+    # spikes to 1e8; one marker per turning point of either curve, each exact
+    from eprtraj import find_turning_points, validate_params
+    from eprtraj.svgfig import FIGURES
+    out = tmp_path / "f.svg"
+    assert run_main(["figure", "1", "--alpha", "0.99999999", "--xmin", "0.1", "--xmax", "3.9",
+                     "--samples", "2000", "--markers", "--out", str(out)]) == 0
+    p = validate_params(1.0, 1.0, 0.99999999, 0.0, math.pi / 2)
+    count = 0
+    for q in (p.replace(beta=beta) for beta in FIGURES[1][0]):
+        for x in find_turning_points(0.1, 3.9, q).x.tolist():
+            assert x == pytest.approx(float(mp_turning_point(x, q)), abs=1e-10)
+            count += 1
+    assert out.read_text().count("<circle") == count > 0
+
+
 def test_figure_invalid_id(tmp_path):
     assert run_main(["figure", "3", "--out", str(tmp_path / "x.svg")]) == 2
 
@@ -456,15 +474,22 @@ def test_range_with_overflowing_phase_exit_2(argv, capsys):
 
 
 def test_limit_sequence_ending_at_one(capsys):
+    from eprtraj import validate_params
     argv = ["limit", "--side", "below", "--alphas", "0.9,1", "--x", "0.5"]
     assert run_main(argv) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("1,0.5,0,")
-    assert run_main(argv[:-1] + ["1"]) == 3
-    assert "standing-wave node" in capsys.readouterr().err
+    # x = 1 is a node at alpha = 1 (D = 1.5e-32): t = tau = 0, the ratio 0, m_q finite
+    assert run_main(argv[:-1] + ["1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    for row in rows:
+        p = validate_params(1.0, 1.0, row["alpha"], 0.0, math.pi / 2)
+        assert row["t"] == pytest.approx(float(mp_time(1.0, p)), rel=1e-12, abs=0.0)
+        assert row["m_q"] == pytest.approx(mp_effective_mass(1.0, p), rel=1e-12)
+    assert (rows[-1]["t"], rows[-1]["ratio"]) == (0.0, 0.0)
 
 
 def test_limit_malformed_sequence_on_a_node_exit_2(capsys):
-    # 1 - 1e-8 puts x = 1 on a node, but the wrong order is reported first
+    # 1 - 1e-8 puts x = 1 on a near-node (D = 1e-16); the order is checked first
     argv = ["limit", "--side", "below", "--alphas", "0.99999999,0.9", "--x", "1"]
     assert run_main(argv) == 2
     assert "monotonic" in capsys.readouterr().err
@@ -475,10 +500,24 @@ def test_invert_alpha_one_at_tau_exit_2(capsys):
     assert "every position is at t = tau" in capsys.readouterr().err
 
 
-def test_numerical_failure_exit_3(tmp_path):
-    # alpha = 1 puts standing-wave nodes inside the sampled range
-    assert run_main(["trajectory", "--alpha", "1", "--out",
-                     str(tmp_path / "x.csv")]) == 3
+def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
+    # alpha = 1 puts standing-wave nodes (x = 1, 3) inside the sampled range, where
+    # D = 1.5e-32; c = 0 there, so every sample has t = tau and dt/dx = 0
+    from eprtraj import InfiniteVelocityError, dataset
+    out = tmp_path / "x.csv"
+    assert run_main(["trajectory", "--alpha", "1", "--tau", "0.5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2001 and "1" in {r[0] for r in rows} and "3" in {r[0] for r in rows}
+    assert {r[1] for r in rows} == {"0.5"} and {r[2] for r in rows} <= {"0", "-0"}
+    # an ArithmeticError in a build exits 3, names itself and writes no file
+    def fail(*args):
+        raise InfiniteVelocityError("dt/dx is 0 at x=1")
+
+    monkeypatch.setattr(dataset, "build_trajectory_dataset", fail)
+    out.unlink()
+    assert run_main(["trajectory", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: dt/dx is 0 at x=1\n"
+    assert not out.exists()
 
 
 def test_console_entry_point():
@@ -629,11 +668,13 @@ def test_stdout_bytes_equal_out_bytes(name, tmp_path, capsysbinary):
     (["sweep", "--betas", ""], 2),
     (["invert", "--t", "1e308"], 2),
     (["limit", "--side", "below", "--alphas", "0.99,0.9", "--x", "1"], 2),
-    (["trajectory", "--alpha", "1"], 3),
-    (["limit", "--side", "below", "--alphas", "0.9,1", "--x", "1", "--format", "json"], 3),
-    # the markers' root search fails: it runs before --out opens
-    (["figure", "1", "--alpha", "0.99999999", "--xmin", "0.1", "--xmax", "3.9", "--samples",
-      "2000", "--markers"], 3),
+    # each fails after some values are computed, before --out opens: in the markers'
+    # root search once the sweep is built, in the limit rows, in the sampled slopes
+    (["figure", "1", "--xmin=-1e300", "--xmax", "0", "--samples", "3", "--markers"], 2),
+    (["limit", "--side", "below", "--alphas", "0.9,0.9999", "--x", "1", "--m", "1e300",
+      "--format", "json"], 2),
+    (["trajectory", "--alpha", "0.9999", "--m", "1e303", "--xmin", "1.00001", "--xmax",
+      "1.0001", "--samples", "4"], 2),
 ])
 def test_failed_run_leaves_no_file(argv, code, tmp_path):
     out = tmp_path / "out.txt"
@@ -705,6 +746,9 @@ def _finite_json(text):
       "--samples", "4"], "dt/dx = g / D^2 overflows at x = 1.00001"),
     (["trajectory", "--xmin=-1e300", "--xmax", "0", "--samples", "3"],
      "[-1e+300, 0.0] spans 1e+300 half-periods of cos(2kx + beta): too many to search"),
+    # a limit row past the float range: m_q = M (D - x D') / D^3 at a trigger point
+    (["limit", "--side", "below", "--alphas", "0.9999", "--x", "1", "--m", "1e300"],
+     "m_q overflows at alpha = 0.9999"),
 ])
 def test_overflowing_parameters_exit_2(argv, message, capsys):
     assert run_main(argv) == 2
@@ -713,19 +757,18 @@ def test_overflowing_parameters_exit_2(argv, message, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_wedge_edge_past_float_range_is_inf(capsys):
+    # the library reports the wedge edge as inf; the CLI range check refuses the sweep,
+    # since t = tau + c x / D itself passes the float range at the trigger points x = 1, 3
+    # (the sweep JSON's Infinity cells are covered at alpha = 1 by the generic-encoder test)
     from eprtraj import validate_params, wedge_bounds
     argv = ["sweep", "--betas", "0", "--m", "1e300", "--alpha", "0.9999999999999999",
             "--samples", "3"]
     p = validate_params(1.0, 1e300, 0.9999999999999999, 0.0, math.pi / 2)
-    assert run_main(argv) == 0
-    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    assert [r[4] for r in rows] == [fmt9(wedge_bounds(float(r[1]), p).t_upper) for r in rows]
-    assert rows[-1][4] == "inf"
-    assert run_main(argv + ["--format", "json"]) == 0
-    text = capsys.readouterr().out
-    wedge = json.loads(text)["wedge"]
-    assert [w["t_upper"] for w in wedge] == [wedge_bounds(w["x"], p).t_upper for w in wedge]
-    assert wedge[-1]["t_upper"] == math.inf and '"t_upper": Infinity' in text
+    assert wedge_bounds(4.0, p).t_upper == math.inf
+    assert mp_time(1.0, p) > sys.float_info.max and mp_time(3.0, p) > sys.float_info.max
+    for fmt in ("csv", "json"):
+        assert run_main(argv + ["--format", fmt]) == 2
+        assert capsys.readouterr().err == "error: t = tau + c x / D overflows on [0.0, 4.0]\n"
 
 
 @pytest.mark.filterwarnings("error")

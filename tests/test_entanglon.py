@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eprtraj import (
-    SingularityError,
     decompose_time,
     entanglon_divergence,
     epr_limit_mass,
@@ -15,7 +14,7 @@ from eprtraj import (
 )
 from eprtraj.dataset import build_limit_rows
 
-from conftest import make_params
+from conftest import make_params, mp_effective_mass, mp_time
 
 
 def test_decompose_entanglon_free_point(ref_params):
@@ -25,6 +24,16 @@ def test_decompose_entanglon_free_point(ref_params):
     assert d.c_p2 == pytest.approx(-0.06366197723675814, rel=1e-13)
     assert abs(d.c_ent) <= 1e-12
     assert d.total == pytest.approx(0.19098593171027442, rel=1e-12)
+
+
+def test_decompose_total_is_time_since_tau():
+    # total = c_p1 + c_p2 + c_ent = t - tau = c x / D: tau shifts t, not the split
+    p, q = make_params(tau=1.0), make_params()
+    for x in (0.5, 1.0, 2.3):
+        parts = decompose_time(x, p)
+        assert parts == decompose_time(x, q)
+        assert parts.total == pytest.approx(time_of_position(x, p) - 1.0, rel=1e-13)
+        assert parts.total == pytest.approx(float(mp_time(x, q)), rel=1e-13)
 
 
 def test_decompose_trigger_point(ref_params):
@@ -179,8 +188,11 @@ def test_limit_mass_off_trigger_recorded(ref_params):
 
 
 def test_limit_mass_propagates_node_singularity(ref_params):
-    with pytest.raises(SingularityError):
-        epr_limit_mass(1.0, ref_params, [0.9, 1 - 1e-9])
+    # at alpha = 1 - 1e-9 the trigger point x = 1 has D = 1e-18: m_q is 1.5e39, finite
+    series = epr_limit_mass(1.0, ref_params, [0.9, 1 - 1e-9])
+    for alpha, m_q in series.entries:
+        assert m_q == pytest.approx(mp_effective_mass(1.0, ref_params.replace(alpha=alpha)),
+                                    rel=1e-12)
 
 
 def test_is_trigger_point(ref_params):
@@ -233,8 +245,7 @@ def test_every_study_rejects_a_bad_side(study, side, alphas, match, ref_params):
 
 @pytest.mark.parametrize("study", list(_STUDIES), ids=list(_STUDIES))
 def test_every_study_checks_before_evaluating(study, ref_params):
-    # the first alpha sits on the x = 1 node (D = 1e-16); the order is wrong, and
-    # that must be the error, not the node's SingularityError
+    # the order is wrong: that is the error, raised before any alpha is evaluated
     with pytest.raises(ValueError, match="monotonic"):
         _STUDIES[study](1.0, ref_params, [1 - 1e-8, 0.9], "below")
 
@@ -257,5 +268,21 @@ def test_study_ending_at_one_gives_tau_off_trigger_points():
 @pytest.mark.parametrize("study", ["entanglon_divergence", "epr_limit_time",
                                    "epr_limit_mass", "build_limit_rows"])
 def test_study_ending_at_one_hits_the_node_at_a_trigger_point(study, ref_params):
-    with pytest.raises(SingularityError, match="standing-wave node"):
-        _STUDIES[study](1.0, ref_params, [0.9, 1.0], "below")
+    # up to alpha = 1 - 1e-12, and at the node alpha = 1 itself (D = 1.5e-32 at x = 1),
+    # where c = 0: t = tau = 0, the ratio is 0 and m_q = 4.6e80; each value matches mpmath
+    alphas = [1.0 - 10.0 ** -j for j in range(1, 13)] + [1.0]
+    values = _STUDIES[study](1.0, ref_params, alphas, "below")
+    if study == "build_limit_rows":
+        assert [row[:2] for row in values] == [(a, 1.0) for a in alphas]
+        values = [(row[2], row[3], row[4]) for row in values]
+    else:
+        values = values.values
+    for alpha, value in zip(alphas, values):
+        q = ref_params.replace(alpha=alpha)
+        t, m_q = float(mp_time(1.0, q)), mp_effective_mass(1.0, q)
+        ratio = t * (1.0 - alpha) * q.hbar * q.k / (2.0 * q.m)
+        expected = {"entanglon_divergence": ratio, "epr_limit_time": t, "epr_limit_mass": m_q,
+                    "build_limit_rows": (t, m_q, ratio)}[study]
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+    if study == "entanglon_divergence":  # not (1 + alpha)/2: k = fl(pi/2) puts x = 1 an ulp off
+        assert values[-2] == pytest.approx(0.99999998500123884, rel=1e-12)

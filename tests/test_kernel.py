@@ -9,16 +9,18 @@ within 2 ulp of the curve's scale.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eprtraj import (SingularityError, amplitude_squared, decompose_time, dtdx,
-                     effective_quantum_mass, find_turning_points, positions_at_time,
-                     time_of_position)
+from eprtraj import (amplitude_squared, decompose_time, dtdx, effective_quantum_mass,
+                     find_turning_points, positions_at_time, time_of_position)
 from eprtraj.cli import main
 from eprtraj.dataset import build_decompose_rows
 
-from conftest import make_params
+from conftest import make_params, mp_position, mp_time, mp_turning_point
 
 
 def _trig_agrees(args) -> bool:
@@ -52,23 +54,50 @@ def test_scalar_and_array_kernels_agree(alpha):
 
 
 def test_node_message_same_for_scalar_and_array(capsys):
-    # alpha = 1 - 1e-8 gives D = 1e-16 at the node x = 1 of the reference wave
+    # alpha = 1 - 1e-8 gives D = 1e-16 at the node x = 1 of the reference wave, where t
+    # spikes to 1.3e8: no message any more, and every path gives finite values that
+    # match mpmath at the same double inputs
     p = make_params(alpha=1.0 - 1e-8)
-    with pytest.raises(SingularityError) as scalar:
-        time_of_position(1.0, p)
-    message = str(scalar.value)
-    assert "x=1.0" in message
-    for call in (lambda: time_of_position(np.array([0.5, 1.0, 1.5]), p, np),
-                 lambda: dtdx(np.array([1.0, 0.25]), p, np),
-                 lambda: find_turning_points(0.5, 1.5, p),
-                 lambda: positions_at_time(1.0, 0.0, 1.5, p)):
-        with pytest.raises(SingularityError) as array:
-            call()
-        assert str(array.value) == message
-    # the same line on stderr, from a scalar path (limit) and an array path (trajectory)
-    lines = []
-    for argv in (["limit", "--side", "below", "--alphas", repr(p.alpha), "--x", "1"],
-                 ["trajectory", "--alpha", repr(p.alpha), "--xmin", "0.5", "--xmax", "1.5"]):
-        assert main(argv) == 3
-        lines.append(capsys.readouterr().err)
-    assert lines[0] == lines[1] == f"numerical failure: {message}\n"
+    t = float(mp_time(1.0, p))
+    assert time_of_position(1.0, p) == pytest.approx(t, rel=1e-12)
+    assert time_of_position(np.array([0.5, 1.0, 1.5]), p, np)[1] == pytest.approx(t, rel=1e-12)
+    slope = float(mpmath.diff(lambda v: mp_time(v, p), 1.0))
+    assert dtdx(1.0, p) == pytest.approx(slope, rel=1e-12)
+    assert dtdx(np.array([1.0, 0.25]), p, np)[0] == pytest.approx(slope, rel=1e-12)
+    (top,) = find_turning_points(0.5, 1.5, p)  # the spike's maximum
+    assert top.x == pytest.approx(float(mp_turning_point(top.x, p)), abs=1e-10)
+    low, high = positions_at_time(1.0, 0.0, 1.5, p)  # t = 1 on both flanks of the spike
+    for x in (low, high):
+        assert x == pytest.approx(float(mp_position(1.0, x, p)), abs=1e-10)
+    assert low < 1.0 < high
+    # the same x, t cells from a scalar path (limit) and an array path (trajectory)
+    cells = []
+    for argv, row, col in (
+            (["limit", "--side", "below", "--alphas", repr(p.alpha), "--x", "1"], 1, 1),
+            (["trajectory", "--alpha", repr(p.alpha), "--xmin", "0.5", "--xmax", "1.5"], 1001, 0)):
+        assert main(argv) == 0
+        cells.append(capsys.readouterr().out.splitlines()[row].split(",")[col:col + 2])
+    assert cells == [["1", "%.9g" % t]] * 2
+
+
+# The node policy's boundary: alpha on both sides of 1, and 1 itself.
+_AROUND_ONE = st.one_of(st.sampled_from([math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]),
+                        st.floats(1.0 - 1e-12, 1.0 + 1e-12))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(alpha=_AROUND_ONE, x=st.floats(-10.0, 10.0), beta=st.floats(-math.pi, math.pi))
+@example(alpha=1.0, x=1.0, beta=0.0)  # a node of the standing wave: D = 1.5e-32
+def test_node_policy_holds_on_both_sides_of_alpha_one(alpha, x, beta):
+    p = make_params(alpha=alpha, beta=beta, tau=0.5)
+    xs = np.array([x])
+    d, t, slope = amplitude_squared(x, p), time_of_position(x, p), dtdx(x, p)
+    assert d > 0.0 and d >= (1.0 - alpha) * (1.0 - alpha)
+    if _trig_agrees(np.array([p.k * x + 0.5 * p.beta, 2.0 * p.k * x + p.beta])):
+        for scalar, array in ((d, amplitude_squared(xs, p, np)), (t, time_of_position(xs, p, np)),
+                              (slope, dtdx(xs, p, np))):
+            assert np.array([scalar]).tobytes() == array.tobytes()
+    if alpha == 1.0:
+        assert t == 0.5 and slope == 0.0
+    else:
+        assert math.isfinite(t) and math.isfinite(slope)

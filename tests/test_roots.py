@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprtraj import (SingularityError, dtdx, find_turning_points, positions_at_time,
-                     segment_trajectory)
+from eprtraj import dtdx, find_turning_points, positions_at_time, segment_trajectory
 from eprtraj import trajectory
 from eprtraj.cli import main
 from eprtraj.rootfind import bisect_root
 from eprtraj.trajectory import TEMPORAL_MAX
 
-from conftest import make_params, mp_root
+from conftest import make_params, mp_position, mp_root, mp_turning_point
 
 # Samples per half-period of cos(2kx + beta) in the dense count.
 _DENSE = 128
@@ -97,17 +96,25 @@ def test_root_sets_match_dense_count(alpha, beta, k, tau, x_min, width, where):
 
 
 def test_node_between_samples_raises(tmp_path):
-    # D = (1 - alpha)^2 = 1e-16 at the trigger point x = 0.96072..., where t(x)
-    # spikes to about 1e8 and crosses t = 1; a grid of samples stepped over it
+    # D = (1 - alpha)^2 = 1e-16 at the trigger points x = 0.96072... and 2.96072..., where
+    # t(x) spikes to about 1e8 and crosses t = 1 on both flanks; a grid of samples would
+    # step over them, the monotone pieces of the pole-free h do not.  Nothing raises:
+    # every root matches mpmath.
     alpha = 1.0 - 1e-8
     p = make_params(alpha=alpha, beta=0.1234)
-    with pytest.raises(SingularityError, match="x=0.9607"):
-        positions_at_time(1.0, 0.0, 4.0, p)
-    with pytest.raises(SingularityError, match="x=0.9607"):
-        find_turning_points(0.0, 4.0, p)
+    roots = positions_at_time(1.0, 0.0, 4.0, p)
+    assert [round(x, 5) for x in roots] == [0.96069, 0.96076, 2.96066, 2.96078]
+    for x in roots:
+        assert x == pytest.approx(float(mp_position(1.0, x, p)), abs=1e-10)
+    tps = find_turning_points(0.0, 4.0, p)
+    assert tps.maximum.tolist() == [True, False, True, False]
+    for x in tps.x.tolist():
+        assert x == pytest.approx(float(mp_turning_point(x, p)), abs=1e-10)
+    out = tmp_path / "invert.csv"
     argv = ["invert", "--t", "1.0", "--xmin", "0", "--xmax", "4", "--alpha", repr(alpha),
-            "--beta", "0.1234", "--out", str(tmp_path / "invert.csv")]
-    assert main(argv) == 3
+            "--beta", "0.1234", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text() == "x\n" + "".join("%.9g\n" % x for x in roots)
 
 
 # Brackets for bisect_root from three functions on disjoint ranges of x:

@@ -5,7 +5,6 @@ import pytest
 
 from eprtraj import (
     InfiniteVelocityError,
-    SingularityError,
     bohmian_time_of_position,
     conjugate_momentum,
     dtdx,
@@ -20,7 +19,7 @@ from eprtraj import (
 )
 from eprtraj.trajectory import TEMPORAL_MAX, TEMPORAL_MIN, TurningPoint
 
-from conftest import five_point_derivative, jacobi_time_estimate, make_params
+from conftest import five_point_derivative, make_params, mp_jacobi_time, mp_time
 
 # Dense-grid extremum scan, refined before the main build.
 TP_1 = 1.0250430
@@ -45,15 +44,20 @@ def test_time_respects_tau():
 
 
 def test_time_matches_jacobi_derivative(ref_params):
-    for x in (0.3, 0.5, 1.0, 1.7, 2.3, 3.9):
-        estimate = jacobi_time_estimate(x, ref_params)
-        t = time_of_position(x, ref_params)
-        assert abs(t - estimate) <= 1e-6 * max(abs(t), 1e-9)
+    # Jacobi's theorem, t - tau = dW/dE; x = 1 is a trigger point where k x is exact
+    cases = [(ref_params, x) for x in (0.3, 0.5, 1.0, 1.7, 2.3, 3.9)]
+    cases += [(make_params(alpha=a), 1.0) for a in (1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 + 1e-12)]
+    for p, x in cases:
+        assert time_of_position(x, p) == pytest.approx(float(mp_jacobi_time(x, p)), rel=1e-12)
 
 
 def test_time_singularity():
-    with pytest.raises(SingularityError, match="x=1"):
-        time_of_position(1.0, make_params(alpha=1.0))
+    # at alpha = 1, x = 1 is a node (D = 1.5e-32): c = 0 there, so t = tau and dt/dx = 0
+    p = make_params(alpha=1.0, tau=0.75)
+    assert time_of_position(1.0, p) == 0.75 and dtdx(1.0, p) == 0.0
+    # (1 - alpha)^2 = 1e-16 at the same point: t spikes to 1.3e8, finite and exact
+    p = make_params(alpha=1.0 - 1e-8, tau=0.75)
+    assert time_of_position(1.0, p) == pytest.approx(float(mp_time(1.0, p)), rel=1e-12)
 
 
 def test_dtdx_analytic_vs_finite_difference(ref_params):
