@@ -245,7 +245,7 @@ def decompose_json(params: ModelParams, rows: np.ndarray, write) -> None:
 def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
     """Rows (alpha, x, t, m_q, ratio) of the one-sided limit study.
 
-    ``ratio`` is the divergence diagnostic t / (2mx/(hbar k (1-alpha))); it
+    ``ratio`` is the divergence diagnostic (t - tau) / (2mx/(hbar k (1-alpha))); it
     is only meaningful at trigger points and is None elsewhere.  A ``t`` or
     ``m_q`` past the float range raises ValueError naming it and its alpha.
     """

@@ -61,12 +61,15 @@ def _time_parts(x, params: ModelParams, xp=math):
 
 
 def _divergence_ratio(t: float, x: float, params: ModelParams) -> float:
-    # t over the trigger-point divergence scale 2mx / (hbar k (1 - alpha))
-    return t * params.hbar * params.k * (1.0 - params.alpha) / (2.0 * params.m * x)
+    # t - tau over the trigger-point divergence scale 2mx / (hbar k (1 - alpha))
+    scale = 2.0 * params.m * x
+    if scale == 0.0:
+        raise ValueError(f"the divergence scale 2 m x underflows to 0 at x = {x}")
+    return (t - params.tau) * params.hbar * params.k * (1.0 - params.alpha) / scale
 
 
 def entanglon_divergence(x: float, params: ModelParams, alpha_sequence) -> LimitSeries:
-    """Ratio of the total time to the divergence scale ``2mx/(hbar k (1-a))``.
+    """Ratio of the time since the epoch, ``t - tau``, to the scale ``2mx/(hbar k (1-a))``.
 
     Only defined at trigger points, where the squared amplitude collapses to
     ``(1-a)^2`` and the ratio equals ``(1+a)/2``, tending to 1 as alpha -> 1

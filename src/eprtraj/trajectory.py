@@ -178,22 +178,21 @@ def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
     try:
         n = np.arange(math.floor((2.0 * k * x_min + b - phase) / period),
                       math.ceil((2.0 * k * x_max + b - phase) / period) + 1)
-    except ValueError:  # more points than an array can index
+    except (ValueError, MemoryError):  # more points than an array can index or hold
         raise ValueError(f"[{x_min}, {x_max}] spans {2.0 * k * (x_max - x_min) / math.pi:.3g} "
                          "half-periods of cos(2kx + beta): too many to search") from None
     xs = (phase + period * n - b) / (2.0 * k)
     return xs[(xs > x_min) & (xs < x_max)]
 
 
-def _bracketed_roots(f, x_min: float, x_max: float, params: ModelParams, cuts):
+def _bracketed_roots(f, x_min: float, x_max: float, cuts):
     """Edges, ``f`` on them, the edges opening a sign change, and the root in each.
 
-    The edges are the range ends, the ``cuts`` (``f`` is monotone between
-    edges) and the trigger points (``cos(2kx + beta) = -1``), which fix every root's
-    bits as the golden files pin them: ITP's iterates depend only on their edges.
+    The edges are the range ends and the ``cuts``, between which ``f`` is
+    monotone, so each bracket holds at most one root and no other edge can
+    add or lose one.
     """
-    triggers = _phase_points(x_min, x_max, params, math.pi, 2.0 * math.pi)
-    edges = np.sort(np.concatenate([[x_min, x_max], triggers, *cuts]))
+    edges = np.sort(np.concatenate([[x_min, x_max], *cuts]))
     edges = edges[np.concatenate(([True], np.diff(edges) > 0.0))]  # np.unique loads np.ma
     fe = f(edges)
     i = np.flatnonzero(np.sign(fe[:-1]) * np.sign(fe[1:]) < 0.0)  # fe * fe may overflow
@@ -215,7 +214,7 @@ def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> Turn
 
     cuts = ([np.clip(0.0, x_min, x_max)],
             _phase_points(x_min, x_max, params, 0.5 * math.pi, math.pi))
-    edges, ge, i, roots = _bracketed_roots(g, x_min, x_max, params, cuts)
+    edges, ge, i, roots = _bracketed_roots(g, x_min, x_max, cuts)
     # an exact zero on an edge is a turning point when g changes sign across it
     j = 1 + np.flatnonzero((ge[1:-1] == 0.0) & (np.sign(ge[:-2]) * np.sign(ge[2:]) < 0.0))
     xs = np.concatenate([roots, edges[j]])
@@ -268,7 +267,7 @@ def positions_at_time(t: float, x_min: float, x_max: float,
         s = math.asin(-c / amp)
         cuts = [_phase_points(x_min, x_max, params, p, 2.0 * math.pi)
                 for p in (s, math.pi - s)]
-    edges, he, _, roots = _bracketed_roots(h, x_min, x_max, params, cuts)
+    edges, he, _, roots = _bracketed_roots(h, x_min, x_max, cuts)
     return np.sort(np.concatenate([roots, edges[he == 0.0]])).tolist()
 
 

@@ -371,6 +371,13 @@ def test_limit_below_ratio_column(tmp_path):
     assert float(last[4]) == pytest.approx(0.9999995, abs=1e-9)
 
 
+def test_limit_ratio_is_of_time_since_tau(capsys):
+    argv = ["limit", "--tau", "1", "--side", "below", "--alphas", "0.9,0.99", "--x", "1"]
+    assert run_main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(",")[4] for line in lines] == ["0.95", "0.995"]
+
+
 def test_limit_above_side_positive_times(tmp_path):
     # x < 0 with alpha > 1 flips both signs in the motion, so t stays positive
     out = tmp_path / "limit.csv"
@@ -749,6 +756,14 @@ def _finite_json(text):
     # a limit row past the float range: m_q = M (D - x D') / D^3 at a trigger point
     (["limit", "--side", "below", "--alphas", "0.9999", "--x", "1", "--m", "1e300"],
      "m_q overflows at alpha = 0.9999"),
+    # listing 1e16 half-periods takes 71 PiB, more than a 64-bit user address space:
+    # the request fails at once, before anything is allocated
+    (["trajectory", "--xmin=-1e16", "--xmax", "0", "--samples", "3"],
+     "[-1e+16, 0.0] spans 1e+16 half-periods of cos(2kx + beta): too many to search"),
+    # 2 m x = 2e-600 underflows to 0 at the trigger point x = 1e-300 (cos(2kx + pi) = -1)
+    (["limit", "--side", "below", "--alphas", "0.9", "--x", "1e-300", "--m", "1e-300",
+      "--beta", "3.141592653589793"],
+     "the divergence scale 2 m x underflows to 0 at x = 1e-300"),
 ])
 def test_overflowing_parameters_exit_2(argv, message, capsys):
     assert run_main(argv) == 2

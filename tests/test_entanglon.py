@@ -100,6 +100,13 @@ def test_divergence_ratio_values(ref_params):
         assert ratio == pytest.approx((1 + alpha) / 2, abs=1e-12)
 
 
+def test_divergence_ratio_is_of_time_since_tau():
+    # the ratio divides t - tau, not t, so tau does not move it off (1 + alpha) / 2
+    series = entanglon_divergence(1.0, make_params(tau=1.0), [0.9, 0.99])
+    for alpha, ratio in series.entries:
+        assert ratio == pytest.approx((1 + alpha) / 2, abs=1e-12)
+
+
 def test_divergence_requires_trigger_point(ref_params):
     with pytest.raises(ValueError, match="decompose_time"):
         entanglon_divergence(0.5, ref_params, [0.9, 0.99])

@@ -6,6 +6,7 @@ forms ``g = c (D - x D')`` (the sign of dt/dx) and ``h = c x - (t - tau) D``
 ``c = m (1 - a^2) / (hbar k)``; nothing of eprtraj enters it.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from eprtraj import dtdx, find_turning_points, positions_at_time, segment_trajectory
 from eprtraj import trajectory
 from eprtraj.cli import main
-from eprtraj.rootfind import bisect_root
+from eprtraj.rootfind import ROOT_XTOL, bisect_root
 from eprtraj.trajectory import TEMPORAL_MAX
 
 from conftest import make_params, mp_position, mp_root, mp_turning_point
@@ -95,7 +96,44 @@ def test_root_sets_match_dense_count(alpha, beta, k, tau, x_min, width, where):
     _check_segment_directions(x_min, x_max, p)
 
 
-def test_node_between_samples_raises(tmp_path):
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(alpha=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0),
+                       st.sampled_from([1.0 - 1e-8, 1.0 + 1e-8, 1.0 - 1e-12])),
+       beta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+       k=st.floats(0.1, 5000.0),
+       tau=st.floats(-2.0, 2.0),
+       x_min=st.floats(-2.0, 2.0),
+       width=st.floats(1e-3, 1.0),
+       where=st.floats(0.05, 0.95),
+       at_trigger=st.booleans())
+def test_root_sets_independent_of_extra_edges(alpha, beta, k, tau, x_min, width, where,
+                                              at_trigger):
+    # the cuts alone make every bracket monotone, so splitting the range at any point,
+    # a trigger point (cos(2kx + beta) = -1) included, neither adds nor loses a root
+    p = make_params(alpha=alpha, beta=beta, k=k, tau=tau)
+    x_max = x_min + width
+    m = x_min + where * width
+    trigger = (math.pi * (1 + 2 * round((2.0 * k * m + beta - math.pi) / (2.0 * math.pi)))
+               - beta) / (2.0 * k)
+    if at_trigger and x_min < trigger < x_max:
+        m = trigger
+    t = trajectory.time_of_position(x_min + (1.0 - where) * width, p)
+    for roots in (lambda lo, hi: find_turning_points(lo, hi, p).x,
+                  lambda lo, hi: np.array(positions_at_time(t, lo, hi, p))):
+        whole = roots(x_min, x_max)
+        split = np.concatenate([roots(x_min, m), roots(m, x_max)])
+        # roots near m are ignored: an exact zero on m is an end of both halves.  Each root
+        # is refined to within ROOT_XTOL / 2, so the ignored radius (2 ROOT_XTOL or more)
+        # lies in a gap of both sets' distances to m wide enough that no root and its
+        # refinement in the other set fall on opposite sides of it
+        d = np.abs(np.concatenate([whole, split]) - m) / ROOT_XTOL
+        r = next(r for r in itertools.count(2) if not np.any((d > r - 1) & (d <= r + 1)))
+        whole, split = (xs[np.abs(xs - m) > r * ROOT_XTOL] for xs in (whole, split))
+        assert len(whole) == len(split)
+        assert np.all(np.abs(whole - split) <= ROOT_XTOL)
+
+
+def test_positions_flank_near_node_spikes(tmp_path):
     # D = (1 - alpha)^2 = 1e-16 at the trigger points x = 0.96072... and 2.96072..., where
     # t(x) spikes to about 1e8 and crosses t = 1 on both flanks; a grid of samples would
     # step over them, the monotone pieces of the pole-free h do not.  Nothing raises:
