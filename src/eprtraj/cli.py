@@ -102,8 +102,8 @@ _COMMANDS = {
                "json": lambda a, p, data, w: ds.sweep_json(data, w)}),
     "figure": (lambda a, p: (ds.build_sweep_dataset(p, FIGURES[a.figure_id][0], a.xmin, a.xmax,
                                                     a.samples),
-                             [ds.find_turning_points(a.xmin, a.xmax, p.replace(beta=beta))
-                              if a.markers else () for beta in FIGURES[a.figure_id][0]]),
+                             ds.turning_points_by_beta(a.xmin, a.xmax, p, FIGURES[a.figure_id][0])
+                             if a.markers else [()] * len(FIGURES[a.figure_id][0])),
                {"svg": lambda a, p, data, w: render_figure(a.figure_id, *data, w)}),
     "decompose": (lambda a, p: ds.build_decompose_rows(p, a.xmin, a.xmax, a.samples),
                   {"csv": lambda a, p, rows, w: ds.decompose_csv(rows, w),

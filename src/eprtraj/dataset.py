@@ -20,11 +20,11 @@ from .action import effective_quantum_mass
 from .entanglon import (_divergence_ratio, _time_parts,  # noqa: F401
                         decompose_time, is_trigger_point)
 from .model import LimitSeries, ModelParams
-from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION,  # noqa: F401
-                         TEMPORAL_MAX, TEMPORAL_MIN, TrajectoryEvent, TurningPoints,
-                         _direction_index, _dtdx_array, _require_finite, _time_array,
-                         _validate_range, _wedge_edges, find_turning_points, pair_events,
-                         positions_at_time, time_of_position, wedge_bounds)
+from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION, TEMPORAL_MAX,  # noqa: F401
+                         TEMPORAL_MIN, TrajectoryEvent, TurningPoints, _direction_index,
+                         _dtdx_array, _require_finite, _time_array, _validate_range,
+                         _wedge_edges, find_turning_points, pair_events, positions_at_time,
+                         time_of_position, turning_points_by_beta, wedge_bounds)
 
 _CHUNK_ROWS = 2 ** 15
 

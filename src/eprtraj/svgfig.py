@@ -14,11 +14,11 @@ element records the data-to-pixel calibration for downstream consumers.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 # build_trajectory_dataset stays importable here: perfbench/tracing.py wraps it
 from .dataset import SweepDataset, build_trajectory_dataset  # noqa: F401
-from .trajectory import TEMPORAL_MAX
 
 _WIDTH = 720
 _HEIGHT = 540
@@ -26,6 +26,7 @@ _MARGIN_LEFT = 70.0
 _MARGIN_RIGHT = 25.0
 _MARGIN_TOP = 25.0
 _MARGIN_BOTTOM = 55.0
+_MARKER = '<circle cx="%.2f" cy="%.2f" r="3.5" fill="%s"/>'
 
 # figure id: (betas, colours, dash attributes), one of each per curve
 FIGURES = {1: ([0.0, math.pi], ["#1f4e9c", "#b23434"], ["", ' stroke-dasharray="6 5"']),
@@ -94,10 +95,11 @@ def render_figure(figure_id: int, ds: SweepDataset, turning_points, write) -> No
     for i, (ts, color, dash, tps) in enumerate(zip(ds.t, colors, dashes, turning_points)):
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4"'
                      f'{dash} points="{points % tuple(to_px(ts).tolist())}"/>')
-        for tp in tps:
-            fill = "#b23434" if tp.kind == TEMPORAL_MAX else "#2c8c50"
-            parts.append(f'<circle cx="{to_px(tp.t):.2f}" cy="{to_py(tp.x):.2f}" '
-                         f'r="3.5" fill="{fill}"/>')
+        if len(tps):  # one template for the curve's markers: red maxima, green minima
+            cells = zip(to_px(tps.t).tolist(), to_py(tps.x).tolist(),
+                        tps.maximum.choose(["#2c8c50", "#b23434"]).tolist())
+            parts.append("\n".join([_MARKER] * len(tps))
+                         % tuple(itertools.chain.from_iterable(cells)))
         parts += ["</svg>", ""] if i == len(betas) - 1 else [""]
         write("\n".join(parts))
         parts = []

@@ -9,7 +9,8 @@ and the contrasting single-valued motion obtained by integrating the
 conjugate momentum as if it were the mechanical momentum.
 
 Root sets need no sampling grid: the algebra splits the range into pieces with
-at most one root each, and all brackets of a call are refined at once.
+at most one root each, and all brackets of a call are refined at once, those of
+every curve of a figure included.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -186,17 +188,25 @@ def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
 
 
 def _bracketed_roots(f, x_min: float, x_max: float, cuts):
-    """Edges, ``f`` on them, the edges opening a sign change, and the root in each.
+    """Edges, ``f`` on them, each edge's curve, the edges opening a sign change, and the
+    root in each, for each curve's list of cut arrays in ``cuts``, in one root call.
 
-    The edges are the range ends and the ``cuts``, between which ``f`` is
-    monotone, so each bracket holds at most one root and no other edge can
-    add or lose one.
+    A curve's edges are the range ends and its cuts, between which its ``f`` is monotone,
+    so each bracket holds at most one root and no other edge can add or lose one.  Over
+    several curves ``f`` takes each x's curve after it.
     """
-    edges = np.sort(np.concatenate([[x_min, x_max], *cuts]))
-    edges = edges[np.concatenate(([True], np.diff(edges) > 0.0))]  # np.unique loads np.ma
-    fe = f(edges)
-    i = np.flatnonzero(np.sign(fe[:-1]) * np.sign(fe[1:]) < 0.0)  # fe * fe may overflow
-    return edges, fe, i, bisect_root(f, edges[i], edges[i + 1], fe[i], fe[i + 1])
+    edges = [np.sort(np.concatenate([[x_min, x_max], *c])) for c in cuts]
+    curve = np.repeat(np.arange(len(edges)), list(map(len, edges)))
+    edges = np.concatenate(edges)
+    # within a curve a step of 0 repeats an edge; a step down starts the next curve
+    keep = np.concatenate(([True], np.diff(edges) != 0.0))  # np.unique loads np.ma
+    edges, curve = edges[keep], curve[keep]
+    on = (curve,) if len(cuts) > 1 else ()
+    fe = f(edges, *on)
+    i = np.flatnonzero((curve[:-1] == curve[1:])
+                       & (np.sign(fe[:-1]) * np.sign(fe[1:]) < 0.0))  # fe * fe may overflow
+    return edges, fe, curve, i, bisect_root(f, edges[i], edges[i + 1], fe[i], fe[i + 1],
+                                            ROOT_XTOL, *(v[i] for v in on))
 
 
 def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> TurningPoints:
@@ -207,20 +217,40 @@ def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> Turn
     is monotone between consecutive zeros of the cosine and ``x = 0``: each
     such piece holds at most one turning point.
     """
-    _validate_range(x_min, x_max, params)
+    # params itself: replace(beta=params.beta) can move a beta next to -pi by 2 pi
+    return turning_points_by_beta(x_min, x_max, params)[0]
 
-    def g(xs):  # D^2 dt/dx
-        return params.c * _slope_factor(xs, params, amplitude_squared(xs, params, np), np)
 
-    cuts = ([np.clip(0.0, x_min, x_max)],
-            _phase_points(x_min, x_max, params, 0.5 * math.pi, math.pi))
-    edges, ge, i, roots = _bracketed_roots(g, x_min, x_max, cuts)
-    # an exact zero on an edge is a turning point when g changes sign across it
-    j = 1 + np.flatnonzero((ge[1:-1] == 0.0) & (np.sign(ge[:-2]) * np.sign(ge[2:]) < 0.0))
-    xs = np.concatenate([roots, edges[j]])
-    order = np.argsort(xs)
-    xs, maxima = xs[order], np.concatenate([ge[i], ge[j - 1]])[order] > 0.0
-    return TurningPoints(xs, _time_array(xs, params), maxima)
+def turning_points_by_beta(x_min: float, x_max: float, params: ModelParams,
+                           betas=None) -> list[TurningPoints]:
+    """:func:`find_turning_points` of ``params.replace(beta=b)`` for each ``b`` of ``betas``
+    (of ``params`` alone for None), bit for bit: every curve's brackets share one call."""
+    curves = [params] if betas is None else [params.replace(beta=b) for b in betas]
+    if not curves:
+        raise ValueError("beta list must not be empty")
+    p, beta = curves[0], np.array([q.beta for q in curves])
+    _validate_range(x_min, x_max, p)  # its bounds do not depend on beta
+
+    def at(curve=None):  # the parameters the kernel reads at x of these curve numbers
+        return p if len(curves) == 1 else SimpleNamespace(**vars(p) | {"beta": beta[curve]})
+
+    def g(xs, *curve):  # D^2 dt/dx
+        q = at(*curve)
+        return q.c * _slope_factor(xs, q, amplitude_squared(xs, q, np), np)
+
+    edges, ge, curve, i, roots = _bracketed_roots(g, x_min, x_max, [(
+        [np.clip(0.0, x_min, x_max)], _phase_points(x_min, x_max, q, 0.5 * math.pi, math.pi))
+        for q in curves])
+    # an exact zero on an edge inside a curve is a turning point when g changes sign across it
+    j = 1 + np.flatnonzero((curve[:-2] == curve[2:]) & (ge[1:-1] == 0.0)
+                           & (np.sign(ge[:-2]) * np.sign(ge[2:]) < 0.0))
+    # a root lies inside its bracket i, a zero on its edge j: they sort as 2i + 1 and 2j
+    order = np.argsort(np.concatenate([2 * i + 1, 2 * j]))
+    xs, on = np.concatenate([roots, edges[j]])[order], np.concatenate([curve[i], curve[j]])[order]
+    maxima = np.concatenate([ge[i], ge[j - 1]])[order] > 0.0
+    tps = TurningPoints(xs, _time_array(xs, at(on)), maxima)
+    ends = np.searchsorted(on, np.arange(len(curves) + 1)).tolist()
+    return [tps[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def segment_trajectory(x_min: float, x_max: float, params: ModelParams) -> list[Segment]:
@@ -267,7 +297,7 @@ def positions_at_time(t: float, x_min: float, x_max: float,
         s = math.asin(-c / amp)
         cuts = [_phase_points(x_min, x_max, params, p, 2.0 * math.pi)
                 for p in (s, math.pi - s)]
-    edges, he, _, roots = _bracketed_roots(h, x_min, x_max, cuts)
+    edges, he, _, _, roots = _bracketed_roots(h, x_min, x_max, [cuts])
     return np.sort(np.concatenate([roots, edges[he == 0.0]])).tolist()
 
 

@@ -649,6 +649,13 @@ def test_figure_points_match_per_point_reference(figure_id):
                                            py_b - (x - x_min) / (x_max - x_min) * (py_b - py_t))
                             for t, x in zip(ts.tolist(), xs.tolist())))
     assert re.findall(r' points="([^"]+)"', text) == ref
+    # the markers against the per-record loop they were once drawn with
+    to_px = lambda t: px_l + (t - t_lo) / (t_hi - t_lo) * (px_r - px_l)  # noqa: E731
+    to_py = lambda x: py_b - (x - x_min) / (x_max - x_min) * (py_b - py_t)  # noqa: E731
+    assert re.findall(r"<circle [^>]*/>", text) == [
+        f'<circle cx="{to_px(tp.t):.2f}" cy="{to_py(tp.x):.2f}" r="3.5" '
+        f'fill="{"#b23434" if tp.kind == "temporal_max" else "#2c8c50"}"/>'
+        for tps in markers for tp in tps]
 
 
 @pytest.mark.parametrize("figure_id, betas", [(3, [0.0]), (1, [0.0]), (2, [0.0, math.pi])])

@@ -70,6 +70,11 @@ BULK = {
     "figure": (["figure", "2", "--samples", "20001", "--xmin", "-2", "--alpha", "1.5",
                 "--tau", "1"],
                "29415ff2ace50d91b5216e6ef98e4411f96c53907acb7a1a6fb35c5625d7a3fe"),
+    # 808 markers, 556 kB, written while each curve's markers were refined in a root call
+    # of their own and drawn one record at a time
+    "figure_markers": (["figure", "2", "--markers", "--k", "20", "--xmin", "-2", "--xmax", "6",
+                        "--alpha", "1.5", "--tau", "1", "--samples", "4001"],
+                       "18ab5b2096f6276ace2fd10f1f1421d99708e25c2ed877316df58dc9087abcbc"),
 }
 
 # Where the root cells start, and a pattern for each root cell after that.

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprtraj import dtdx, find_turning_points, positions_at_time, segment_trajectory
+from eprtraj import (dtdx, find_turning_points, positions_at_time, segment_trajectory,
+                     turning_points_by_beta)
 from eprtraj import trajectory
 from eprtraj.cli import main
 from eprtraj.rootfind import ROOT_XTOL, bisect_root
+from eprtraj.svgfig import FIGURES
 from eprtraj.trajectory import TEMPORAL_MAX
 
 from conftest import make_params, mp_position, mp_root, mp_turning_point
@@ -212,3 +214,64 @@ def test_itp_closes_smooth_brackets_early(monkeypatch):
     assert len(find_turning_points(0.0, 20.0, make_params(k=2000.0))) == 25464
     # bisection takes 23 steps here; ITP closes every bracket within 10
     assert len(steps) <= 10
+
+
+def test_bisect_root_columns_follow_their_brackets():
+    # each bracket's column names its function; the line's bracket closes first, then the
+    # cubic's, then some near-node ones, each leaving the middle of the open arrays, so the
+    # column must stay aligned with x through every compaction
+    lo, hi = (np.array(v) for v in zip(*_BRACKETS))
+    which = np.searchsorted([4.0, 6.0], lo, side="right")
+    pieces = (_mixed, lambda x: 1e-9 * (x - 5.1), lambda x: (x - 7.3) ** 3 + 1e-6 * (x - 7.3))
+    f_lo, f_hi = (np.array([_mixed(x) for x in v.tolist()]) for v in (lo, hi))
+    open_counts = []
+
+    def f(xs, w):
+        open_counts.append(len(xs))
+        assert np.array_equal(w, np.searchsorted([4.0, 6.0], xs, side="right"))
+        return np.array([pieces[i](x) for x, i in zip(xs.tolist(), w.tolist())])
+
+    roots = bisect_root(f, lo, hi, f_lo, f_hi, ROOT_XTOL, which)
+    assert len(set(open_counts)) > 2  # brackets left at several steps
+    plain = bisect_root(lambda xs: np.array([_mixed(x) for x in xs.tolist()]),
+                        lo, hi, f_lo, f_hi)
+    assert np.array_equal(roots, plain)
+
+
+def _check_batched(x_min, x_max, p, betas):
+    """turning_points_by_beta equals one find_turning_points call per beta, bit for bit."""
+    batched = turning_points_by_beta(x_min, x_max, p, betas)
+    assert len(batched) == len(betas)
+    for beta, tps in zip(betas, batched):
+        ref = find_turning_points(x_min, x_max, p.replace(beta=beta))
+        for column in ("x", "t", "maximum"):
+            assert np.array_equal(getattr(tps, column), getattr(ref, column)), (beta, column)
+    return [len(tps) for tps in batched]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(alpha=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0),
+                       st.sampled_from([1.0 - 1e-8, 1.0 - 1e-12])),
+       k=st.floats(0.1, 5000.0),
+       tau=st.floats(-2.0, 2.0),
+       x_min=st.floats(-2.0, 2.0),
+       width=st.floats(1e-3, 1.0),
+       betas=st.one_of(st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1,
+                                max_size=8),
+                       st.sampled_from([FIGURES[1][0], FIGURES[2][0]])),
+       repeat=st.booleans())
+def test_batched_turning_points_equal_per_curve(alpha, k, tau, x_min, width, betas, repeat):
+    # each bracket's ITP iterates depend on its own edges alone, and the kernel does the
+    # same operations on the same values with a column of betas as with one
+    p = make_params(alpha=alpha, k=k, tau=tau)
+    _check_batched(x_min, x_min + width, p, betas + betas[:2] if repeat else betas)
+
+
+@pytest.mark.parametrize("figure_id", sorted(FIGURES))
+def test_batched_figure_curves_with_and_without_turning_points(figure_id):
+    # a range narrower than half a period: some curves turn in it, others do not
+    counts = _check_batched(-0.35, -0.05, make_params(alpha=1.5), FIGURES[figure_id][0])
+    assert min(counts) == 0 < max(counts)
+    assert sum(_check_batched(-2.0, 4.0, make_params(tau=1.0), FIGURES[figure_id][0])) > 0
+    with pytest.raises(ValueError, match="beta list must not be empty"):
+        turning_points_by_beta(0.0, 1.0, make_params(), [])
