@@ -127,8 +127,9 @@ class LimitSeries:
 
 
 def normalize_phase_shift(beta: float) -> float:
-    """Reduce a phase shift modulo 2*pi into the interval (-pi, pi]."""
-    return beta - TWO_PI * math.ceil(beta / TWO_PI - 0.5)
+    """Reduce a phase shift modulo 2*pi into the interval (-pi, pi]; one in it stays as is."""
+    r = beta - TWO_PI * math.ceil(beta / TWO_PI - 0.5)  # rounding can leave r a period out
+    return beta if -math.pi < beta <= math.pi else r - TWO_PI * ((r > math.pi) - (r <= -math.pi))
 
 
 def validate_params(hbar: float, m: float, alpha: float, beta: float, k: float,

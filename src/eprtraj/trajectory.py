@@ -187,13 +187,13 @@ def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
     return xs[(xs > x_min) & (xs < x_max)]
 
 
-def _bracketed_roots(f, x_min: float, x_max: float, cuts):
+def _bracketed_roots(f, x_min: float, x_max: float, cuts, seed):
     """Edges, ``f`` on them, each edge's curve, the edges opening a sign change, and the
     root in each, for each curve's list of cut arrays in ``cuts``, in one root call.
 
     A curve's edges are the range ends and its cuts, between which its ``f`` is monotone,
     so each bracket holds at most one root and no other edge can add or lose one.  Over
-    several curves ``f`` takes each x's curve after it.
+    several curves ``f`` (``newton=False`` on edges) and ``seed`` take each x's curve.
     """
     edges = [np.sort(np.concatenate([[x_min, x_max], *c])) for c in cuts]
     curve = np.repeat(np.arange(len(edges)), list(map(len, edges)))
@@ -202,22 +202,23 @@ def _bracketed_roots(f, x_min: float, x_max: float, cuts):
     keep = np.concatenate(([True], np.diff(edges) != 0.0))  # np.unique loads np.ma
     edges, curve = edges[keep], curve[keep]
     on = (curve,) if len(cuts) > 1 else ()
-    fe = f(edges, *on)
+    fe = f(edges, *on, newton=False)
     i = np.flatnonzero((curve[:-1] == curve[1:])
                        & (np.sign(fe[:-1]) * np.sign(fe[1:]) < 0.0))  # fe * fe may overflow
-    return edges, fe, curve, i, bisect_root(f, edges[i], edges[i + 1], fe[i], fe[i + 1],
-                                            ROOT_XTOL, *(v[i] for v in on))
+    lo, hi, on = edges[i], edges[i + 1], [v[i] for v in on]
+    with np.errstate(all="ignore"):  # seeds and Newton steps not finite: the midpoint
+        return edges, fe, curve, i, bisect_root(f, lo, hi, fe[i], fe[i + 1], ROOT_XTOL, *on,
+                                                seed=seed(lo, hi, *on))
 
 
 def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> TurningPoints:
-    """All sign changes of dt/dx in ``[x_min, x_max]``, refined to 1e-10.
+    """All sign changes of dt/dx in ``[x_min, x_max]``, by Newton steps on ``g'``.
 
     Complete by construction: ``dt/dx`` has the sign of ``g = c (D - x D')``,
     and ``g' = -c x D''`` with ``D'' = -8 alpha k^2 cos(2kx + beta)``, so ``g``
     is monotone between consecutive zeros of the cosine and ``x = 0``: each
-    such piece holds at most one turning point.
+    such piece holds at most one turning point, seeded near its centre.
     """
-    # params itself: replace(beta=params.beta) can move a beta next to -pi by 2 pi
     return turning_points_by_beta(x_min, x_max, params)[0]
 
 
@@ -234,13 +235,21 @@ def turning_points_by_beta(x_min: float, x_max: float, params: ModelParams,
     def at(curve=None):  # the parameters the kernel reads at x of these curve numbers
         return p if len(curves) == 1 else SimpleNamespace(**vars(p) | {"beta": beta[curve]})
 
-    def g(xs, *curve):  # D^2 dt/dx
+    def g(xs, *curve, newton=True):  # D^2 dt/dx, and its Newton step g / g'
         q = at(*curve)
-        return q.c * _slope_factor(xs, q, amplitude_squared(xs, q, np), np)
+        s = _slope_factor(xs, q, d := amplitude_squared(xs, q, np), np)
+        v = q.c * s  # c cancels in g / g' = -s / (x D''), with D'' = -4 k^2 (D - 1 - alpha^2)
+        return (v, s / (4.0 * q.k * q.k * xs * (d - 1.0 - q.alpha * q.alpha))) if newton else v
+
+    def seed(lo, hi, *curve):  # by the piece's centre th = n pi, sin th = -D(n pi) / 4 alpha k x
+        q, mid = at(*curve), 0.5 * (lo + hi)
+        n = np.rint((2.0 * q.k * mid + q.beta) / math.pi)
+        d = (1.0 - 2.0 * (n % 2.0)) * (1.0 + q.alpha * q.alpha) + 2.0 * q.alpha  # (-1)^n D
+        return (n * math.pi - np.arcsin(d / (4.0 * q.alpha * q.k * mid)) - q.beta) / (2.0 * q.k)
 
     edges, ge, curve, i, roots = _bracketed_roots(g, x_min, x_max, [(
         [np.clip(0.0, x_min, x_max)], _phase_points(x_min, x_max, q, 0.5 * math.pi, math.pi))
-        for q in curves])
+        for q in curves], seed)
     # an exact zero on an edge inside a curve is a turning point when g changes sign across it
     j = 1 + np.flatnonzero((curve[:-2] == curve[2:]) & (ge[1:-1] == 0.0)
                            & (np.sign(ge[:-2]) * np.sign(ge[2:]) < 0.0))
@@ -275,29 +284,38 @@ def positions_at_time(t: float, x_min: float, x_max: float,
     motion.  They are the roots of ``h = c x - (t - tau) D``, which has no
     pole and is monotone between the zeros of ``h' = c + 4 alpha k (t - tau)
     sin(2kx + beta)``, closed-form positions: each piece holds at most one
-    root.  Roots are refined to 1e-10; an empty list means the horizontal line
-    at ``t`` misses every branch.
+    root, reached by Newton steps on ``h'``; an empty list means the horizontal
+    line at ``t`` misses every branch.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     _validate_range(x_min, x_max, params)
-    c, dt, a = params.c, t - params.tau, params.alpha
-    amp, dt_d = 4.0 * a * params.k * dt, dt * (1.0 + a) * (1.0 + a)
+    c, dt, a, k, b = params.c, t - params.tau, params.alpha, params.k, params.beta
+    amp, dt_d = 4.0 * a * k * dt, dt * (1.0 + a) * (1.0 + a)
     _require_finite(f"at t = {t} on [{x_min}, {x_max}]", ("4 alpha k (t - tau)", amp),
                     ("(t - tau)(1 + alpha)^2", dt_d),
                     ("h = c x - (t - tau) D", abs(c) * max(-x_min, x_max) + abs(dt_d)))
     if c == 0.0 and dt == 0.0:
         raise ValueError(f"every position is at t = tau = {t} when alpha = 1")
 
-    def h(xs):
-        return c * xs - dt * amplitude_squared(xs, params, np)
+    def h(xs, newton=True):  # and its Newton step h / h'
+        v = c * xs - dt * amplitude_squared(xs, params, np)
+        return (v, v / (c + amp * np.sin(2.0 * k * xs + b))) if newton else v
+
+    def seed(lo, hi):  # the phase on the midpoint's side of the piece where D = c x / (t - tau)
+        x = 0.5 * (lo + hi)
+        th_mid = 2.0 * k * x + b
+        for _ in range(2):  # x at the midpoint, then at the phase found
+            th = np.copysign(np.arccos((c * x / dt - 1.0 - a * a) / (2.0 * a)), np.sin(th_mid))
+            x = (th + 2.0 * math.pi * np.rint((th_mid - th) / (2.0 * math.pi)) - b) / (2.0 * k)
+        return x
 
     cuts = []
     if amp != 0.0 and abs(c) <= abs(amp):
         s = math.asin(-c / amp)
         cuts = [_phase_points(x_min, x_max, params, p, 2.0 * math.pi)
                 for p in (s, math.pi - s)]
-    edges, he, _, _, roots = _bracketed_roots(h, x_min, x_max, [cuts])
+    edges, he, _, _, roots = _bracketed_roots(h, x_min, x_max, [cuts], seed)
     return np.sort(np.concatenate([roots, edges[he == 0.0]])).tolist()
 
 
@@ -361,8 +379,8 @@ def mechanical_momentum(x: float, params: ModelParams) -> float:
     Differs from the conjugate momentum except in the free-particle limit.
     At turning points the velocity diverges (the trajectory is superluminal
     there) while the conjugate momentum stays finite; those points raise
-    :class:`InfiniteVelocityError`: dt/dx is 0 or changes sign within the root
-    tolerance ``ROOT_XTOL`` of ``x``.
+    :class:`InfiniteVelocityError`: dt/dx is 0 or changes sign within
+    ``ROOT_XTOL`` of ``x``, the width of a turning point's final bracket.
     """
     slopes = [dtdx(x + dx, params) for dx in (-ROOT_XTOL, 0.0, ROOT_XTOL)]
     if {_direction_index(s) for s in slopes} not in ({1}, {-1}):

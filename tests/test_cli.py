@@ -333,7 +333,7 @@ def test_figure_markers_at_near_nodes(tmp_path):
     count = 0
     for q in (p.replace(beta=beta) for beta in FIGURES[1][0]):
         for x in find_turning_points(0.1, 3.9, q).x.tolist():
-            assert x == pytest.approx(float(mp_turning_point(x, q)), abs=1e-10)
+            assert x == pytest.approx(float(mp_turning_point(x, q)), abs=4 * math.ulp(x))
             count += 1
     assert out.read_text().count("<circle") == count > 0
 
@@ -806,8 +806,15 @@ def test_wedge_edge_past_float_range_is_inf(capsys):
     ["params", "--k", "1e150"],
     ["invert", "--t", "5e307", "--format", "json"],
     ["invert", "--t", "7e307", "--k", "1e-3", "--format", "json"],
+    # Newton steps on brackets' values near 1e307: c must cancel in g / g', and the
+    # root counts are those of plain bisection (5092 turning points, 4245 positions)
+    ["trajectory", "--k", "2000", "--m", "1e307", "--samples", "3", "--format", "json"],
+    ["invert", "--t", "1e304", "--k", "2000", "--m", "1e307", "--format", "json"],
 ])
 def test_finite_next_to_overflow_bounds(argv, capsys):
     assert run_main(argv) == 0
     doc = _finite_json(capsys.readouterr().out)
     assert len(doc.get("rows", [])) == (3 if argv[0] == "trajectory" else 0)
+    if "2000" in argv:
+        roots = doc["turning_points"] if argv[0] == "trajectory" else doc["positions"]
+        assert len(roots) == (5092 if argv[0] == "trajectory" else 4245)

@@ -65,10 +65,10 @@ def test_node_message_same_for_scalar_and_array(capsys):
     assert dtdx(1.0, p) == pytest.approx(slope, rel=1e-12)
     assert dtdx(np.array([1.0, 0.25]), p, np)[0] == pytest.approx(slope, rel=1e-12)
     (top,) = find_turning_points(0.5, 1.5, p)  # the spike's maximum
-    assert top.x == pytest.approx(float(mp_turning_point(top.x, p)), abs=1e-10)
+    assert top.x == pytest.approx(float(mp_turning_point(top.x, p)), abs=4 * math.ulp(top.x))
     low, high = positions_at_time(1.0, 0.0, 1.5, p)  # t = 1 on both flanks of the spike
     for x in (low, high):
-        assert x == pytest.approx(float(mp_position(1.0, x, p)), abs=1e-10)
+        assert x == pytest.approx(float(mp_position(1.0, x, p)), abs=4 * math.ulp(x))
     assert low < 1.0 < high
     # the same x, t cells from a scalar path (limit) and an array path (trajectory)
     cells = []

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprtraj import (
     ActionSample,
@@ -57,6 +59,32 @@ def test_beta_normalization(raw, expected):
     assert normalize_phase_shift(raw) == pytest.approx(expected, abs=1e-12)
     p = validate_params(1.0, 1.0, 0.5, raw, math.pi / 2)
     assert -math.pi < p.beta <= math.pi
+
+
+_PI_ULP = math.ulp(math.pi)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(beta=st.one_of(st.floats(-4.0, 4.0), st.floats(-10.0, 10.0), st.floats(-1e6, 1e6),
+                      st.builds(lambda s, n: s * math.pi + n * _PI_ULP,
+                                st.sampled_from([-3.0, -1.0, 1.0, 3.0]), st.integers(-8, 8))))
+def test_beta_normalization_in_range_and_idempotent(beta):
+    reduced = normalize_phase_shift(beta)
+    assert -math.pi < reduced <= math.pi
+    assert normalize_phase_shift(reduced) == reduced
+    if -math.pi < beta <= math.pi:
+        assert reduced == beta
+    # wherever the plain reduction lands in range, the result is that reduction
+    plain = beta - 2.0 * math.pi * math.ceil(beta / (2.0 * math.pi) - 0.5)
+    if -math.pi < plain <= math.pi:
+        assert reduced == plain
+
+
+def test_beta_next_to_minus_pi_stays():
+    # beta / (2 pi) - 0.5 rounds to -1.0 here, so the plain reduction gave 3.1415926535897936
+    beta = -3.1415926535897927
+    p = validate_params(1, 1, 0.5, beta, 1)
+    assert p.beta == beta and p.replace(beta=p.beta).beta == beta
 
 
 @pytest.mark.parametrize("field, args", [

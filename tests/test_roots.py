@@ -125,9 +125,9 @@ def test_root_sets_independent_of_extra_edges(alpha, beta, k, tau, x_min, width,
         whole = roots(x_min, x_max)
         split = np.concatenate([roots(x_min, m), roots(m, x_max)])
         # roots near m are ignored: an exact zero on m is an end of both halves.  Each root
-        # is refined to within ROOT_XTOL / 2, so the ignored radius (2 ROOT_XTOL or more)
-        # lies in a gap of both sets' distances to m wide enough that no root and its
-        # refinement in the other set fall on opposite sides of it
+        # lies in its final bracket, closed to ROOT_XTOL, so the ignored radius (2 ROOT_XTOL
+        # or more) lies in a gap of both sets' distances to m wide enough that no root and
+        # its refinement in the other set fall on opposite sides of it
         d = np.abs(np.concatenate([whole, split]) - m) / ROOT_XTOL
         r = next(r for r in itertools.count(2) if not np.any((d > r - 1) & (d <= r + 1)))
         whole, split = (xs[np.abs(xs - m) > r * ROOT_XTOL] for xs in (whole, split))
@@ -145,16 +145,70 @@ def test_positions_flank_near_node_spikes(tmp_path):
     roots = positions_at_time(1.0, 0.0, 4.0, p)
     assert [round(x, 5) for x in roots] == [0.96069, 0.96076, 2.96066, 2.96078]
     for x in roots:
-        assert x == pytest.approx(float(mp_position(1.0, x, p)), abs=1e-10)
+        assert x == pytest.approx(float(mp_position(1.0, x, p)), abs=4 * math.ulp(x))
     tps = find_turning_points(0.0, 4.0, p)
     assert tps.maximum.tolist() == [True, False, True, False]
     for x in tps.x.tolist():
-        assert x == pytest.approx(float(mp_turning_point(x, p)), abs=1e-10)
+        assert x == pytest.approx(float(mp_turning_point(x, p)), abs=4 * math.ulp(x))
     out = tmp_path / "invert.csv"
     argv = ["invert", "--t", "1.0", "--xmin", "0", "--xmax", "4", "--alpha", repr(alpha),
             "--beta", "0.1234", "--out", str(out)]
     assert main(argv) == 0
     assert out.read_text() == "x\n" + "".join("%.9g\n" % x for x in roots)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(alpha=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0),
+                       st.sampled_from([1.0 - 1e-8, 1.0 + 1e-8, 1.0 - 1e-12])),
+       beta=st.floats(-math.pi, math.pi),
+       log_k=st.floats(-3.0, 4.0),
+       tau=st.floats(-2.0, 2.0),
+       x_min=st.floats(-2.0, 2.0),
+       width=st.floats(1e-3, 2.0),
+       where=st.floats(0.05, 0.95))
+def test_roots_to_the_last_bit(alpha, beta, log_k, tau, x_min, width, where):
+    # Each root lies within 4 ulp of the 50-digit root of the same doubles, or within 4
+    # times the root's own resolution where that is coarser: its shift under one rounding
+    # of every term of f and of the phase 2kx + beta (size eps / |f'|), plus one Newton
+    # step's truncation from within ROOT_XTOL (|f''| ROOT_XTOL^2 / 2 |f'|).  It passes an
+    # ulp where |f'| is small: near a tangency of h, or next to a node (alpha ~ 1).
+    k = 10.0 ** log_k
+    p = make_params(alpha=alpha, beta=beta, k=k, tau=tau)
+    x_max = x_min + min(width, 100.0 / k)  # 64 half-periods of the phase at most
+    t = trajectory.time_of_position(x_min + where * (x_max - x_min), p)
+    a, b, dt = p.alpha, p.beta, t - tau
+    with mpmath.workdps(50):
+        am, bm, km = (mpmath.mpf(v) for v in (a, b, k))
+        cm, dtm = (1 - am) * (1 + am) / km, mpmath.mpf(t) - mpmath.mpf(tau)
+
+    def d(v):
+        return 1 + am * am + 2 * am * mpmath.cos(2 * km * v + bm)
+
+    def g(x):  # D - x D' at 50 digits; at x its size, slope and curvature bound
+        ph = 2.0 * k * abs(x) + abs(b)  # the phase's rounding, in eps
+        return (lambda v: d(v) + 4 * am * km * v * mpmath.sin(2 * km * v + bm),
+                1.0 + a * a + 2.0 * a * ph + 4.0 * a * k * abs(x) * (1.0 + ph),
+                8.0 * a * k * k * abs(x * math.cos(2.0 * k * x + b)),
+                8.0 * a * k * k * (1.0 + 2.0 * k * abs(x)))
+
+    def h(x):  # c x - (t - tau) D likewise
+        ph = 2.0 * k * abs(x) + abs(b)
+        return (lambda v: cm * v - dtm * d(v),
+                abs(p.c * x) + abs(dt) * (1.0 + a * a + 2.0 * a * ph),
+                abs(p.c + 4.0 * a * k * dt * math.sin(2.0 * k * x + b)),
+                8.0 * a * k * k * abs(dt))
+
+    for f, xs in ((g, find_turning_points(x_min, x_max, p).x),
+                  (h, np.array(positions_at_time(t, x_min, x_max, p)))):
+        for x in xs[np.linspace(0, len(xs) - 1, min(len(xs), 12)).astype(int)].tolist():
+            exact, size, slope, curvature = f(x)
+            resolution = (size * 2.0 ** -52 + curvature * ROOT_XTOL ** 2 / 2.0) / slope
+            w = 1e-10 * max(1.0, abs(x))  # the root's final bracket lies inside
+            with mpmath.workdps(50):
+                ref = mpmath.findroot(exact, (mpmath.mpf(x) - w, mpmath.mpf(x) + w),
+                                      solver="anderson")
+            # 1e-40: mpmath's own resolution on that bracket
+            assert abs(x - ref) <= 4.0 * max(math.ulp(x), resolution) + 1e-40, (f.__name__, x)
 
 
 # Brackets for bisect_root from three functions on disjoint ranges of x:
@@ -178,6 +232,21 @@ def _mixed(x, lib=np):
     return (x - 7.3) ** 3 + 1e-6 * (x - 7.3)
 
 
+def _mixed_slope(x):
+    """The derivative of :func:`_mixed` (its double form)."""
+    if x < 4.0:
+        d = (1 - _A) ** 2 + 4 * _A * np.cos(_K * x) ** 2
+        return (1 - _A * _A) / _K * (d + 4 * _A * _K * x * np.sin(2 * _K * x)) / (d * d)
+    if x < 6.0:
+        return 1e-9
+    return 3 * (x - 7.3) ** 2 + 1e-6
+
+
+def _with_step(values, xs):
+    """``values`` of a function at ``xs`` and its Newton steps, as ``bisect_root`` takes them."""
+    return values, values / np.array([_mixed_slope(x) for x in xs.tolist()])
+
+
 def test_itp_step_bound_and_containment():
     lo, hi = (np.array(v) for v in zip(*_BRACKETS))
     assert all(_mixed(a) * _mixed(b) < 0.0 for a, b in _BRACKETS)
@@ -185,13 +254,13 @@ def test_itp_step_bound_and_containment():
 
     def f(xs):
         seen.append(xs.copy())
-        return np.array([_mixed(x) for x in xs.tolist()])
+        return _with_step(np.array([_mixed(x) for x in xs.tolist()]), xs)
 
     xtol = 1e-10
     f_lo, f_hi = (np.array([_mixed(x) for x in v.tolist()]) for v in (lo, hi))
     roots = bisect_root(f, lo, hi, f_lo, f_hi, xtol)
     bisections = math.ceil(math.log2(np.max(hi - lo) / xtol))
-    assert len(seen) - 1 <= bisections + 1  # one call per step
+    assert len(seen) - 1 <= bisections + 5  # one call per step
     for xs in seen:
         i = np.searchsorted(lo, xs, side="right") - 1
         assert np.all((lo[i] <= xs) & (xs <= hi[i]))
@@ -204,16 +273,16 @@ def test_itp_step_bound_and_containment():
 def test_itp_closes_smooth_brackets_early(monkeypatch):
     steps = []
 
-    def counting(f, lo, hi, f_lo, f_hi, xtol=1e-10):
+    def counting(f, lo, hi, f_lo, f_hi, xtol=1e-10, seed=np.nan):
         def g(xs):
             steps.append(len(xs))
             return f(xs)
-        return bisect_root(g, lo, hi, f_lo, f_hi, xtol)
+        return bisect_root(g, lo, hi, f_lo, f_hi, xtol, seed=seed)
 
     monkeypatch.setattr(trajectory, "bisect_root", counting)
     assert len(find_turning_points(0.0, 20.0, make_params(k=2000.0))) == 25464
-    # bisection takes 23 steps here; ITP closes every bracket within 10
-    assert len(steps) <= 10
+    # bisection takes 23 steps here; ITP closes every bracket within 5
+    assert len(steps) <= 5
 
 
 def test_bisect_root_columns_follow_their_brackets():
@@ -229,11 +298,11 @@ def test_bisect_root_columns_follow_their_brackets():
     def f(xs, w):
         open_counts.append(len(xs))
         assert np.array_equal(w, np.searchsorted([4.0, 6.0], xs, side="right"))
-        return np.array([pieces[i](x) for x, i in zip(xs.tolist(), w.tolist())])
+        return _with_step(np.array([pieces[i](x) for x, i in zip(xs.tolist(), w.tolist())]), xs)
 
     roots = bisect_root(f, lo, hi, f_lo, f_hi, ROOT_XTOL, which)
     assert len(set(open_counts)) > 2  # brackets left at several steps
-    plain = bisect_root(lambda xs: np.array([_mixed(x) for x in xs.tolist()]),
+    plain = bisect_root(lambda xs: _with_step(np.array([_mixed(x) for x in xs.tolist()]), xs),
                         lo, hi, f_lo, f_hi)
     assert np.array_equal(roots, plain)
 
