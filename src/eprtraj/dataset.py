@@ -1,9 +1,9 @@
 """Dataset assembly and CSV/JSON serialization.
 
 Datasets are numpy columns.  Writers call ``write`` once per chunk of 2**15 rows, built with no
-Python loop over the rows.  CSV numbers carry 9 significant digits with C-locale formatting.  A
-JSON document is a dict, its big lists column-backed, laid out by ``json.dumps(indent=2)``
-(:func:`write_json`); its floats re-read bit-identically (shortest round-trip representation).
+Python loop over the rows, and render a cell rows share once: a trajectory run's labels into its
+rows' CSV template, a branch id into JSON.  CSV numbers carry 9 significant digits (C locale); a
+JSON document is a dict laid out by :func:`write_json`, its floats re-read bit-identically.
 """
 
 from __future__ import annotations
@@ -40,17 +40,18 @@ def params_dict(params: ModelParams) -> dict:
             "tau": params.tau}
 
 
-def _fill(write, template: str, *columns, head: str = "") -> None:
-    """``write`` ``template % row`` for every row of the equal-length ``columns``, one call
-    per chunk of 2**15 rows (``head`` joined onto the first): one ``%`` on the repeated
-    template, cells from an object buffer.  ``"%.9g" % v`` equals :func:`fmt9` of ``v``."""
-    n = len(columns[0])
-    buf = np.empty((min(n, _CHUNK_ROWS), len(columns)), dtype=object)
+def _fill(write, template, *columns, head: str = "") -> None:
+    """``write`` ``template % row`` per row of the equal-length ``columns``, one call per 2**15
+    rows (``head`` joined onto the first), by one ``%`` on the row template repeated or on the
+    chunk template and leading columns of ``template(rows)``; ``"%.9g" % v`` is ``fmt9(v)``."""
+    n, width = len(columns[0]), len(columns)
+    buf = np.empty(min(n, _CHUNK_ROWS) * width, dtype=object)
     for lo in range(0, max(n, 1), _CHUNK_ROWS):  # no rows: one call with ``head``
         m = min(n - lo, _CHUNK_ROWS)
-        for j, column in enumerate(columns):
-            buf[:m, j] = column[lo:lo + m]
-        write(head + (template * m) % tuple(buf[:m].ravel()))
+        text, w = template(slice(lo, lo + m)) if callable(template) else (template * m, width)
+        for j, column in enumerate(columns[:w]):
+            buf[j:m * w:w] = column[lo:lo + m]
+        write(head + text % tuple(buf[:m * w]))
         head = ""
 
 
@@ -158,17 +159,25 @@ def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
 
 
 def trajectory_csv(ds: TrajectoryDataset, write) -> None:
-    _fill(write, "%.9g,%.9g,%.9g,%d,%s\n", ds.x, ds.t, ds.dtdx, ds.branch_id, ds.direction,
+    def template(rows):  # a run (rows of one branch_id and direction) has its labels in it
+        b, i = ds.branch_id[rows], _direction_index(ds.dtdx[rows])
+        run = np.flatnonzero(np.r_[True, (b[1:] != b[:-1]) | (i[1:] != i[:-1])])
+        if 4 * len(run) >= len(b):  # runs of 4 rows or fewer on average: the labels are cells
+            return "%.9g,%.9g,%.9g,%d,%s\n" * len(b), 5
+        runs = zip(b[run].tolist(), i[run].tolist(), np.diff(run, append=len(b)).tolist())
+        return "".join(f"%.9g,%.9g,%.9g,{n:d},{_DIRECTIONS[j]}\n" * k for n, j, k in runs), 3
+    _fill(write, template, ds.x, ds.t, ds.dtdx, ds.branch_id, ds.direction,
           head="x,t,dtdx,branch_id,direction\n")
 
 
 def trajectory_json(ds: TrajectoryDataset, write) -> None:
     """Event ``i`` shares turning point ``i``'s cells and joins branches ``i`` and ``i + 1``."""
-    tps = ds.turning_points
+    tps, b = ds.turning_points, ds.branch_id
     x, t, top = _json_cells(tps.x), _json_cells(tps.t), tps.maximum.astype(np.intp)
-    ids = _json_cells(np.arange(len(tps) + 1))
+    ids = _json_cells(np.arange(len(tps) + 1))  # a row's branch_id is one of these cells too
+    b = ids[b] if np.all((b >= 0) & (b <= len(tps))) else b  # else: not a built dataset's
     write_json({"params": params_dict(ds.params), "rows": _Records(
-                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": ds.branch_id,
+                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": b,
                      "direction": _json_cells(_DIRECTIONS)[_direction_index(ds.dtdx)]}),
                 "turning_points": _Records(
                     {"x": x, "t": t, "kind": _json_cells((TEMPORAL_MIN, TEMPORAL_MAX))[top]}),

@@ -8,16 +8,16 @@ ROOT_XTOL = 1e-10
 N0 = 5  # ITP's n0: a bracket takes at most its bisection count + N0 steps
 
 
-def bisect_root(f, lo, hi, f_lo, f_hi, xtol: float = ROOT_XTOL, *columns, seed=np.nan):
+def bisect_root(f, lo, hi, f_lo, *columns, xtol: float = ROOT_XTOL, seed=np.nan):
     """Roots of ``f`` in the brackets ``[lo[i], hi[i]]``, each closed to width ``xtol``.
 
-    ``f(x, *columns)`` gives ``f(x)`` and the Newton step ``f(x) / f'(x)``; ``f_lo`` (at
-    ``lo``) and ``f_hi`` have strictly opposite signs.  ITP steps (Oliveira & Takahashi,
-    ACM TOMS 2020; n0 = N0) refine all open brackets with one ``f`` call per step, each
-    within its bisection count + N0 steps.  The interpolant is ``seed`` (by default, or
-    outside the bracket: the midpoint), then Newton's estimate from the previous iterate
-    (not finite: the midpoint); iterates stay ``xtol / 2`` inside their bracket.  A root
-    is the Newton estimate from its iterate of least ``|f|``, clipped into its final
+    ``f(x, *columns)`` gives ``f(x)`` and the Newton step ``f(x) / f'(x)``; ``f_lo``, ``f``
+    at ``lo``, has the strictly opposite sign to ``f`` at ``hi``.  ITP steps (Oliveira &
+    Takahashi, ACM TOMS 2020; n0 = N0) refine all open brackets with one ``f`` call per
+    step, each within its bisection count + N0 steps.  The interpolant is ``seed`` (by
+    default, or outside the bracket: the midpoint), then Newton's estimate from the previous
+    iterate (not finite: the midpoint); iterates stay ``xtol / 2`` inside their bracket.  A
+    root is the Newton estimate from its iterate of least ``|f|``, clipped into its final
     bracket.  ``columns`` (one value per bracket) ride with the open ones into ``f``.
     """
     roots, todo, best = np.empty(len(lo)), np.arange(len(lo)), np.full(len(lo), np.inf)

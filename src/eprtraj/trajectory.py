@@ -207,8 +207,7 @@ def _bracketed_roots(f, x_min: float, x_max: float, cuts, seed):
                        & (np.sign(fe[:-1]) * np.sign(fe[1:]) < 0.0))  # fe * fe may overflow
     lo, hi, on = edges[i], edges[i + 1], [v[i] for v in on]
     with np.errstate(all="ignore"):  # seeds and Newton steps not finite: the midpoint
-        return edges, fe, curve, i, bisect_root(f, lo, hi, fe[i], fe[i + 1], ROOT_XTOL, *on,
-                                                seed=seed(lo, hi, *on))
+        return edges, fe, curve, i, bisect_root(f, lo, hi, fe[i], *on, seed=seed(lo, hi, *on))
 
 
 def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> TurningPoints:
@@ -303,11 +302,17 @@ def positions_at_time(t: float, x_min: float, x_max: float,
         return (v, v / (c + amp * np.sin(2.0 * k * xs + b))) if newton else v
 
     def seed(lo, hi):  # the phase on the midpoint's side of the piece where D = c x / (t - tau)
-        x = 0.5 * (lo + hi)
+        x = mid = 0.5 * (lo + hi)
         th_mid = 2.0 * k * x + b
         for _ in range(2):  # x at the midpoint, then at the phase found
             th = np.copysign(np.arccos((c * x / dt - 1.0 - a * a) / (2.0 * a)), np.sin(th_mid))
             x = (th + 2.0 * math.pi * np.rint((th_mid - th) / (2.0 * math.pi)) - b) / (2.0 * k)
+        j = np.isnan(x)  # no such phase, by a tangency of h: the root of its quadratic model
+        th0 = np.where(c * mid[j] / dt > 1.0 + a * a, 0.0, math.pi)  # about the band edge x0
+        x0 = (th0 + 2.0 * math.pi * np.rint((th_mid[j] - th0) / (2.0 * math.pi)) - b) / (2.0 * k)
+        q = k * amp * np.cos(th0)  # h(x0 + u) ~ h(x0) + c u + q u^2, on the midpoint's side
+        u = np.copysign(np.sqrt(c * c - 4.0 * q * h(x0, newton=False)), c + 2 * q * (mid[j] - x0))
+        x[j] = x0 + (u - c) / (2.0 * q)
         return x
 
     cuts = []
@@ -332,7 +337,7 @@ def wedge_bounds(x: float, params: ModelParams) -> WedgeBounds:
     """
     if x < 0.0:
         raise ValueError(f"wedge bounds are defined for x >= 0, got {x}")
-    return WedgeBounds(*_wedge_edges(x, params))
+    return WedgeBounds._make(_wedge_edges(x, params))
 
 
 def _wedge_edges(x, params: ModelParams):
@@ -340,7 +345,10 @@ def _wedge_edges(x, params: ModelParams):
     a, tau = params.alpha, params.tau
     if a == 1.0:
         return tau, math.inf
-    scale = params.m * x / (params.hbar * params.k)
+    m, hk = params.m, params.hbar * params.k
+    if m > 1.0 and hk > 1.0:  # m x may overflow where m x / hk does not: both over 2^e, exactly
+        m, hk = map(math.ldexp, (m, hk), [-min(math.frexp(m)[1], math.frexp(hk)[1])] * 2)
+    scale = m * x / hk
     reinforced = tau + scale * (1.0 - a) / (1.0 + a)
     destructive = tau + scale * (1.0 + a) / (1.0 - a)
     return (destructive, reinforced) if a > 1.0 else (reinforced, destructive)

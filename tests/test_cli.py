@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -242,6 +243,50 @@ def test_chunked_csv_mixed_template(bulk_cells):
                   zip(ds.x.tolist(), ds.t.tolist(), ds.dtdx.tolist(), ds.branch_id.tolist(),
                       ds.direction.tolist()))
     assert _written(trajectory_csv, ds) == "x,t,dtdx,branch_id,direction\n" + ref
+
+
+def _first_difference(text, ref):
+    """None, or the first line where ``text`` differs from ``ref`` (no diff of megabytes)."""
+    return next(((i, a, b) for i, (a, b) in enumerate(itertools.zip_longest(
+        text.split("\n"), ref.split("\n"))) if a != b), None)
+
+
+def _trajectory_rows(cells, branch_id, dtdx):
+    """A dataset of these labels, x and t from ``cells``, and its per-row fmt9 CSV."""
+    from eprtraj.dataset import TrajectoryDataset
+    ds = TrajectoryDataset(params=_params_ref(), x=cells[:, 0], t=cells[:, 1], dtdx=dtdx,
+                           branch_id=branch_id, turning_points=_turning_points())
+    return ds, "x,t,dtdx,branch_id,direction\n" + "".join(
+        f"{fmt9(x)},{fmt9(t)},{fmt9(s)},{b},{d}\n" for x, t, s, b, d in
+        zip(ds.x.tolist(), ds.t.tolist(), ds.dtdx.tolist(), ds.branch_id.tolist(),
+            ds.direction.tolist()))
+
+
+def test_trajectory_csv_runs_of_odd_cells():
+    # runs of 5 rows (one template each) over the odd cells, turning rows (-0.0, NaN) inside
+    # branch 0; the odd dataset itself starts a run at every row (labels as cells)
+    from eprtraj.dataset import trajectory_csv
+    odd = _odd_trajectory(_params_ref(), _turning_points())
+    cells = np.repeat(np.column_stack((odd.x, odd.t)), 5, axis=0)
+    for ds, ref in (_trajectory_rows(np.column_stack((odd.x, odd.t)), odd.branch_id, odd.dtdx),
+                    _trajectory_rows(cells, np.repeat([0, 0, 0, 1], 5), np.repeat(odd.dtdx, 5))):
+        assert _first_difference(_written(trajectory_csv, ds), ref) is None
+    assert ds.direction[:15].tolist() == ["turning"] * 5 + ["forward"] * 5 + ["turning"] * 5
+
+
+@pytest.mark.parametrize("starts", [(1, 2 ** 16 + 50),  # one run over three chunks
+                                    (2 ** 15 - 1, 2 ** 15), (2 ** 15, 2 ** 15 + 1),
+                                    (2 ** 15 + 1, 2 ** 15 + 2), (2 ** 15, 2 ** 16)])
+def test_trajectory_csv_run_edges_by_chunk_edges(starts, bulk_cells):
+    # branches start at ``starts``: on, before and after the chunk edge at row 2**15
+    from eprtraj.dataset import trajectory_csv
+    n = 2 ** 16 + 100
+    cells = np.concatenate([bulk_cells[0][:, :2]] * 3)[:n]
+    branch_id = np.searchsorted(starts, np.arange(n), side="right")
+    ds, ref = _trajectory_rows(cells, branch_id, np.full(n, 0.5))
+    chunks = []
+    trajectory_csv(ds, chunks.append)
+    assert _first_difference("".join(chunks), ref) is None and len(chunks) == 3
 
 
 def test_dataset_branch_ids_match_segments():
@@ -791,6 +836,46 @@ def test_wedge_edge_past_float_range_is_inf(capsys):
     for fmt in ("csv", "json"):
         assert run_main(argv + ["--format", fmt]) == 2
         assert capsys.readouterr().err == "error: t = tau + c x / D overflows on [0.0, 4.0]\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_wedge_finite_where_m_x_overflows(tmp_path):
+    # m x = 4e308 passes the float range, the edges (about 4e303) do not
+    from eprtraj import validate_params, wedge_bounds
+    from eprtraj.dataset import build_sweep_dataset
+    out = tmp_path / "sweep.csv"
+    assert run_main(["sweep", "--betas", "0", "--m", "1e308", "--alpha", "0.01", "--k", "1e5",
+                     "--samples", "3", "--out", str(out)]) == 0
+    p = validate_params(1.0, 1e308, 0.01, 0.0, 1e5)
+    ds = build_sweep_dataset(p, [0.0], 0.0, 4.0, 3)
+    rows = [line.split(",") for line in out.read_text().split("\n")[1:-1]]
+    for x, t, lo, hi, row in zip(ds.xs.tolist(), ds.t[0].tolist(), ds.t_lower.tolist(),
+                                 ds.t_upper.tolist(), rows):
+        assert (lo, hi) == wedge_bounds(x, p) and -1.0 < lo <= t <= hi < 1e304
+        assert row[2:] == [fmt9(t), fmt9(lo), fmt9(hi)]
+
+
+def test_wedge_edges_bit_equal_where_m_x_is_finite():
+    # the edges scale m and hbar k by one power of two, exactly: bit for bit the edges of
+    # m x / (hbar k) wherever m x is finite (and x is 0 or a normal double)
+    from eprtraj import validate_params
+    from eprtraj.trajectory import _wedge_edges
+    xs = np.array([0.0, 1e-300, 0.37, 4.0, 1e100, 1.7e308])
+    for m, hbar, k, alpha in itertools.product((0.3, 1.0, 3.7, 1e10, 1e200, 1e307),
+                                               (1e-3, 1.0, 7.0), (0.3, 1.6, 1e5), (0.3, 1.7)):
+        try:
+            p = validate_params(hbar, m, alpha, 0.0, k, tau=-2.5)
+        except ValueError:  # E or c past the float range
+            continue
+        with np.errstate(over="ignore"):
+            scale = m * xs / (hbar * k)
+            ref = (p.tau + scale * (1.0 - alpha) / (1.0 + alpha),
+                   p.tau + scale * (1.0 + alpha) / (1.0 - alpha))
+            edges, finite = _wedge_edges(xs, p), np.isfinite(m * xs)
+        for got, want in zip(edges, ref if alpha < 1.0 else ref[::-1]):
+            assert np.array_equal(got[finite], want[finite])
+        assert [_wedge_edges(x, p) for x in xs[finite].tolist()] == list(
+            zip(*(e[finite].tolist() for e in edges)))
 
 
 @pytest.mark.filterwarnings("error")

@@ -257,8 +257,8 @@ def test_itp_step_bound_and_containment():
         return _with_step(np.array([_mixed(x) for x in xs.tolist()]), xs)
 
     xtol = 1e-10
-    f_lo, f_hi = (np.array([_mixed(x) for x in v.tolist()]) for v in (lo, hi))
-    roots = bisect_root(f, lo, hi, f_lo, f_hi, xtol)
+    f_lo = np.array([_mixed(x) for x in lo.tolist()])
+    roots = bisect_root(f, lo, hi, f_lo, xtol=xtol)
     bisections = math.ceil(math.log2(np.max(hi - lo) / xtol))
     assert len(seen) - 1 <= bisections + 5  # one call per step
     for xs in seen:
@@ -273,16 +273,37 @@ def test_itp_step_bound_and_containment():
 def test_itp_closes_smooth_brackets_early(monkeypatch):
     steps = []
 
-    def counting(f, lo, hi, f_lo, f_hi, xtol=1e-10, seed=np.nan):
+    def counting(f, lo, hi, f_lo, *, xtol=1e-10, seed=np.nan):
         def g(xs):
             steps.append(len(xs))
             return f(xs)
-        return bisect_root(g, lo, hi, f_lo, f_hi, xtol, seed=seed)
+        return bisect_root(g, lo, hi, f_lo, xtol=xtol, seed=seed)
 
     monkeypatch.setattr(trajectory, "bisect_root", counting)
     assert len(find_turning_points(0.0, 20.0, make_params(k=2000.0))) == 25464
     # bisection takes 23 steps here; ITP closes every bracket within 5
     assert len(steps) <= 5
+
+
+def test_inversion_by_a_tangency_closes_in_six_calls(monkeypatch):
+    # At this t two roots sit by a tangency of h = c x - (t - tau) D (5.5e-7 apart about
+    # x = 14.4127533) and one by a band edge at x = 1.4392: D = c x / (t - tau) has no phase
+    # at their brackets' midpoints.  Seeded at the midpoint, those brackets took 15 calls.
+    calls = []
+
+    def counting(f, lo, hi, f_lo, *, xtol=ROOT_XTOL, seed=np.nan):
+        def g(xs):
+            calls.append(len(xs))
+            return f(xs)
+        return bisect_root(g, lo, hi, f_lo, xtol=xtol, seed=seed)
+
+    monkeypatch.setattr(trajectory, "bisect_root", counting)
+    t, p = 0.002274981319812736, make_params(alpha=0.5197927825179898,
+                                             beta=2.8236350336524874, k=2001.7670818971728)
+    xs = np.array(positions_at_time(t, 0.0, 20.0, p))
+    assert len(xs) == 16535 and len(calls) <= 6
+    for x in xs[np.searchsorted(xs, [1.4392256, 14.4127530, 14.4127535])].tolist():
+        assert abs(x - mp_position(t, x, p)) <= 4 * math.ulp(x), x
 
 
 def test_bisect_root_columns_follow_their_brackets():
@@ -292,7 +313,7 @@ def test_bisect_root_columns_follow_their_brackets():
     lo, hi = (np.array(v) for v in zip(*_BRACKETS))
     which = np.searchsorted([4.0, 6.0], lo, side="right")
     pieces = (_mixed, lambda x: 1e-9 * (x - 5.1), lambda x: (x - 7.3) ** 3 + 1e-6 * (x - 7.3))
-    f_lo, f_hi = (np.array([_mixed(x) for x in v.tolist()]) for v in (lo, hi))
+    f_lo = np.array([_mixed(x) for x in lo.tolist()])
     open_counts = []
 
     def f(xs, w):
@@ -300,10 +321,10 @@ def test_bisect_root_columns_follow_their_brackets():
         assert np.array_equal(w, np.searchsorted([4.0, 6.0], xs, side="right"))
         return _with_step(np.array([pieces[i](x) for x, i in zip(xs.tolist(), w.tolist())]), xs)
 
-    roots = bisect_root(f, lo, hi, f_lo, f_hi, ROOT_XTOL, which)
+    roots = bisect_root(f, lo, hi, f_lo, which)
     assert len(set(open_counts)) > 2  # brackets left at several steps
     plain = bisect_root(lambda xs: _with_step(np.array([_mixed(x) for x in xs.tolist()]), xs),
-                        lo, hi, f_lo, f_hi)
+                        lo, hi, f_lo)
     assert np.array_equal(roots, plain)
 
 
