@@ -42,16 +42,16 @@ def params_dict(params: ModelParams) -> dict:
 
 def _fill(write, template, *columns, head: str = "") -> None:
     """``write`` ``template % row`` per row of the equal-length ``columns``, one call per 2**15
-    rows (``head`` joined onto the first), by one ``%`` on the row template repeated or on the
-    chunk template and leading columns of ``template(rows)``; ``"%.9g" % v`` is ``fmt9(v)``."""
-    n, width = len(columns[0]), len(columns)
-    buf = np.empty(min(n, _CHUNK_ROWS) * width, dtype=object)
+    rows (``head`` joined onto the first): one ``%`` on the row template repeated, or on
+    ``template(rows)``, the chunk's own; ``"%.9g" % v`` is ``fmt9(v)``."""
+    n = len(columns[0])
+    buf = np.empty((min(n, _CHUNK_ROWS), len(columns)), dtype=object)
     for lo in range(0, max(n, 1), _CHUNK_ROWS):  # no rows: one call with ``head``
         m = min(n - lo, _CHUNK_ROWS)
-        text, w = template(slice(lo, lo + m)) if callable(template) else (template * m, width)
-        for j, column in enumerate(columns[:w]):
-            buf[j:m * w:w] = column[lo:lo + m]
-        write(head + text % tuple(buf[:m * w]))
+        for j, column in enumerate(columns):
+            buf[:m, j] = column[lo:lo + m]
+        text = template(slice(lo, lo + m)) if callable(template) else template * m
+        write(head + text % tuple(buf[:m].ravel()))
         head = ""
 
 
@@ -122,7 +122,7 @@ class TrajectoryDataset:
     x: np.ndarray
     t: np.ndarray
     dtdx: np.ndarray
-    branch_id: np.ndarray
+    branch_id: np.ndarray  # integers >= 0: a sample's branch is the turning points below it
     turning_points: TurningPoints
 
     def __len__(self) -> int:
@@ -159,30 +159,29 @@ def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
 
 
 def trajectory_csv(ds: TrajectoryDataset, write) -> None:
+    ids, dirs = ds.branch_id.astype(np.intp, copy=False), _direction_index(ds.dtdx)
+    tails = [f",{name}\n" for name in _DIRECTIONS]
     def template(rows):  # a run (rows of one branch_id and direction) has its labels in it
-        b, i = ds.branch_id[rows], _direction_index(ds.dtdx[rows])
-        run = np.flatnonzero(np.r_[True, (b[1:] != b[:-1]) | (i[1:] != i[:-1])])
-        if 4 * len(run) >= len(b):  # runs of 4 rows or fewer on average: the labels are cells
-            return "%.9g,%.9g,%.9g,%d,%s\n" * len(b), 5
-        runs = zip(b[run].tolist(), i[run].tolist(), np.diff(run, append=len(b)).tolist())
-        return "".join(f"%.9g,%.9g,%.9g,{n:d},{_DIRECTIONS[j]}\n" * k for n, j, k in runs), 3
-    _fill(write, template, ds.x, ds.t, ds.dtdx, ds.branch_id, ds.direction,
-          head="x,t,dtdx,branch_id,direction\n")
+        b, d = ids[rows], dirs[rows]
+        start = np.flatnonzero(np.r_[True, (b[1:] != b[:-1]) | (d[1:] != d[:-1])])
+        runs = zip(b[start].tolist(), d[start].tolist(), np.diff(start, append=len(b)).tolist())
+        return "".join([f"%.9g,%.9g,%.9g,{n}{tails[j]}" * k for n, j, k in runs])
+    _fill(write, template, ds.x, ds.t, ds.dtdx, head="x,t,dtdx,branch_id,direction\n")
 
 
 def trajectory_json(ds: TrajectoryDataset, write) -> None:
-    """Event ``i`` shares turning point ``i``'s cells and joins branches ``i`` and ``i + 1``."""
-    tps, b = ds.turning_points, ds.branch_id
+    """Event ``i`` shares turning point ``i``'s cells and joins branches ``i`` and ``i + 1``;
+    a row's ``branch_id`` is one of the same id cells."""
+    tps, b = ds.turning_points, ds.branch_id.astype(np.intp, copy=False)
     x, t, top = _json_cells(tps.x), _json_cells(tps.t), tps.maximum.astype(np.intp)
-    ids = _json_cells(np.arange(len(tps) + 1))  # a row's branch_id is one of these cells too
-    b = ids[b] if np.all((b >= 0) & (b <= len(tps))) else b  # else: not a built dataset's
+    ids = _json_cells(np.arange(max(n := len(tps), b.max(initial=0)) + 1))
     write_json({"params": params_dict(ds.params), "rows": _Records(
-                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": b,
+                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": ids[b],
                      "direction": _json_cells(_DIRECTIONS)[_direction_index(ds.dtdx)]}),
                 "turning_points": _Records(
                     {"x": x, "t": t, "kind": _json_cells((TEMPORAL_MIN, TEMPORAL_MAX))[top]}),
-                "events": _Records({"kind": _json_cells((CREATION, ANNIHILATION))[top],
-                                    "x": x, "t": t, "branch_ids": [ids[:-1], ids[1:]]})}, write)
+                "events": _Records({"kind": _json_cells((CREATION, ANNIHILATION))[top], "x": x,
+                                    "t": t, "branch_ids": [ids[:n], ids[1:n + 1]]})}, write)
 
 
 @dataclass(frozen=True, eq=False)

@@ -345,12 +345,12 @@ def _wedge_edges(x, params: ModelParams):
     a, tau = params.alpha, params.tau
     if a == 1.0:
         return tau, math.inf
-    m, hk = params.m, params.hbar * params.k
-    if m > 1.0 and hk > 1.0:  # m x may overflow where m x / hk does not: both over 2^e, exactly
-        m, hk = map(math.ldexp, (m, hk), [-min(math.frexp(m)[1], math.frexp(hk)[1])] * 2)
-    scale = m * x / hk
-    reinforced = tau + scale * (1.0 - a) / (1.0 + a)
-    destructive = tau + scale * (1.0 + a) / (1.0 - a)
+    scale, unscale = params.m * x / (params.hbar * params.k), 1.0
+    if params.m > 1.0:  # where m x passes the float range (an edge may not): m x / 2^1024, exactly
+        f = 2.0 ** (-512 * (params.m * x == math.inf))
+        scale, unscale = params.m * f * (x * f) / (params.hbar * params.k), f * f
+    reinforced = tau + scale * (1.0 - a) / (1.0 + a) / unscale
+    destructive = tau + scale * (1.0 + a) / (1.0 - a) / unscale
     return (destructive, reinforced) if a > 1.0 else (reinforced, destructive)
 
 

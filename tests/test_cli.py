@@ -264,13 +264,20 @@ def _trajectory_rows(cells, branch_id, dtdx):
 
 def test_trajectory_csv_runs_of_odd_cells():
     # runs of 5 rows (one template each) over the odd cells, turning rows (-0.0, NaN) inside
-    # branch 0; the odd dataset itself starts a run at every row (labels as cells)
-    from eprtraj.dataset import trajectory_csv
+    # branch 0; the odd dataset itself starts a run at every row
+    import dataclasses
+    from eprtraj.dataset import trajectory_csv, trajectory_json
     odd = _odd_trajectory(_params_ref(), _turning_points())
     cells = np.repeat(np.column_stack((odd.x, odd.t)), 5, axis=0)
     for ds, ref in (_trajectory_rows(np.column_stack((odd.x, odd.t)), odd.branch_id, odd.dtdx),
                     _trajectory_rows(cells, np.repeat([0, 0, 0, 1], 5), np.repeat(odd.dtdx, 5))):
         assert _first_difference(_written(trajectory_csv, ds), ref) is None
+        # integral float ids are written as integers, as by "%d"
+        floats = dataclasses.replace(ds, branch_id=ds.branch_id.astype(float))
+        assert _written(trajectory_csv, floats) == ref
+        rows = json.loads(_written(trajectory_json, floats))["rows"]
+        assert [(type(r["branch_id"]), r["branch_id"]) for r in rows] == [
+            (int, b) for b in ds.branch_id.tolist()]
     assert ds.direction[:15].tolist() == ["turning"] * 5 + ["forward"] * 5 + ["turning"] * 5
 
 
@@ -853,18 +860,27 @@ def test_wedge_finite_where_m_x_overflows(tmp_path):
                                  ds.t_upper.tolist(), rows):
         assert (lo, hi) == wedge_bounds(x, p) and -1.0 < lo <= t <= hi < 1e304
         assert row[2:] == [fmt9(t), fmt9(lo), fmt9(hi)]
+    # m x / (hbar k) = 4e308 passes it too; the lower edge (about 2.1e307) does not
+    from eprtraj import time_of_position
+    from eprtraj.trajectory import _wedge_edges
+    q = validate_params(1.0, 1e307, 0.9, 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        edges = [e.tolist() for e in _wedge_edges(np.array([40.0]), q)]
+    assert edges == [[v] for v in wedge_bounds(40.0, q)]
+    lo, hi = wedge_bounds(40.0, q)
+    assert 2.1e307 < lo < time_of_position(40.0, q) < hi == math.inf
 
 
 def test_wedge_edges_bit_equal_where_m_x_is_finite():
-    # the edges scale m and hbar k by one power of two, exactly: bit for bit the edges of
-    # m x / (hbar k) wherever m x is finite (and x is 0 or a normal double)
+    # bit for bit the edges of m x / (hbar k) wherever m x is finite
     from eprtraj import validate_params
     from eprtraj.trajectory import _wedge_edges
     xs = np.array([0.0, 1e-300, 0.37, 4.0, 1e100, 1.7e308])
-    for m, hbar, k, alpha in itertools.product((0.3, 1.0, 3.7, 1e10, 1e200, 1e307),
-                                               (1e-3, 1.0, 7.0), (0.3, 1.6, 1e5), (0.3, 1.7)):
+    for m, hbar, k, alpha, tau in itertools.product((0.3, 1.0, 3.7, 1e10, 1e200, 1e307),
+                                                    (1e-3, 1.0, 7.0), (0.3, 1.6, 1e5),
+                                                    (0.3, 1.7), (0.0, -2.5)):
         try:
-            p = validate_params(hbar, m, alpha, 0.0, k, tau=-2.5)
+            p = validate_params(hbar, m, alpha, 0.0, k, tau=tau)
         except ValueError:  # E or c past the float range
             continue
         with np.errstate(over="ignore"):
