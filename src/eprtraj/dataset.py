@@ -170,18 +170,17 @@ def trajectory_csv(ds: TrajectoryDataset, write) -> None:
 
 
 def trajectory_json(ds: TrajectoryDataset, write) -> None:
-    """Event ``i`` shares turning point ``i``'s cells and joins branches ``i`` and ``i + 1``;
-    a row's ``branch_id`` is one of the same id cells."""
-    tps, b = ds.turning_points, ds.branch_id.astype(np.intp, copy=False)
+    """Event ``i`` shares turning point ``i``'s cells and joins branches ``i`` and ``i + 1``."""
+    tps, (b, row) = ds.turning_points, np.unique(ds.branch_id, return_inverse=True)
     x, t, top = _json_cells(tps.x), _json_cells(tps.t), tps.maximum.astype(np.intp)
-    ids = _json_cells(np.arange(max(n := len(tps), b.max(initial=0)) + 1))
+    ids = _json_cells(np.arange(len(tps) + 1))
     write_json({"params": params_dict(ds.params), "rows": _Records(
-                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": ids[b],
+                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": _json_cells(b)[row],
                      "direction": _json_cells(_DIRECTIONS)[_direction_index(ds.dtdx)]}),
                 "turning_points": _Records(
                     {"x": x, "t": t, "kind": _json_cells((TEMPORAL_MIN, TEMPORAL_MAX))[top]}),
-                "events": _Records({"kind": _json_cells((CREATION, ANNIHILATION))[top], "x": x,
-                                    "t": t, "branch_ids": [ids[:n], ids[1:n + 1]]})}, write)
+                "events": _Records({"kind": _json_cells((CREATION, ANNIHILATION))[top],
+                                    "x": x, "t": t, "branch_ids": [ids[:-1], ids[1:]]})}, write)
 
 
 @dataclass(frozen=True, eq=False)

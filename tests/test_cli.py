@@ -272,12 +272,15 @@ def test_trajectory_csv_runs_of_odd_cells():
     for ds, ref in (_trajectory_rows(np.column_stack((odd.x, odd.t)), odd.branch_id, odd.dtdx),
                     _trajectory_rows(cells, np.repeat([0, 0, 0, 1], 5), np.repeat(odd.dtdx, 5))):
         assert _first_difference(_written(trajectory_csv, ds), ref) is None
-        # integral float ids are written as integers, as by "%d"
+        # float ids: "%d" in CSV, the float itself in JSON; negative ids
         floats = dataclasses.replace(ds, branch_id=ds.branch_id.astype(float))
         assert _written(trajectory_csv, floats) == ref
-        rows = json.loads(_written(trajectory_json, floats))["rows"]
-        assert [(type(r["branch_id"]), r["branch_id"]) for r in rows] == [
-            (int, b) for b in ds.branch_id.tolist()]
+        below, below_ref = _trajectory_rows(np.column_stack((ds.x, ds.t)), ds.branch_id - 2,
+                                            ds.dtdx)
+        assert _written(trajectory_csv, below) == below_ref
+        for other in (floats, below):
+            assert _written(trajectory_json, other) == json.dumps(_trajectory_doc(other),
+                                                                  indent=2) + "\n"
     assert ds.direction[:15].tolist() == ["turning"] * 5 + ["forward"] * 5 + ["turning"] * 5
 
 
