@@ -122,7 +122,7 @@ class TrajectoryDataset:
     x: np.ndarray
     t: np.ndarray
     dtdx: np.ndarray
-    branch_id: np.ndarray  # integers >= 0: a sample's branch is the turning points below it
+    branch_id: np.ndarray
     turning_points: TurningPoints
 
     def __len__(self) -> int:
