@@ -116,7 +116,7 @@ def write_json(doc, write) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryDataset:
-    """Sampled motion as columns, with its turning points."""
+    """Sampled motion as columns of one length (else ValueError), with its turning points."""
 
     params: ModelParams
     x: np.ndarray
@@ -124,6 +124,11 @@ class TrajectoryDataset:
     dtdx: np.ndarray
     branch_id: np.ndarray
     turning_points: TurningPoints
+
+    def __post_init__(self):
+        lengths = {name: len(getattr(self, name)) for name in ("x", "t", "dtdx", "branch_id")}
+        if len(set(lengths.values())) > 1:  # the writers take the row count from x
+            raise ValueError(f"columns differ in length: {lengths}")
 
     def __len__(self) -> int:
         return len(self.x)

@@ -38,24 +38,34 @@ class ModelParams:
     c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        hbar, m, alpha, k = self.hbar, self.m, self.alpha, self.k
-        for name, value in (("hbar", hbar), ("m", m), ("alpha", alpha), ("k", k)):
-            if not 0.0 < value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive, got {value}")
-        for name, value in (("beta", self.beta), ("tau", self.tau)):
-            if not -math.inf < value < math.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
-        composite_mass, hk = m * (1.0 + alpha * alpha), hbar * k
-        derived = (("M", composite_mass), ("E", hbar * hbar * k * k / (2.0 * composite_mass)),
-                   # m (1 - alpha^2) / (hbar k), factored to stay exact as alpha -> 1
-                   ("c", m * (1.0 - alpha) * (1.0 + alpha) / hk if hk else math.inf))
+        hbar, m, alpha, beta, k, inf = self.hbar, self.m, self.alpha, self.beta, self.k, math.inf
+        if not (0.0 < hbar < inf and 0.0 < m < inf and 0.0 < alpha < inf and 0.0 < k < inf
+                and -inf < beta < inf and -inf < self.tau < inf):  # NaN fails too
+            for name, lo in zip(("hbar", "m", "alpha", "k", "beta", "tau"), [0.0] * 4 + [-inf] * 2):
+                if not lo < (value := getattr(self, name)) < inf:  # name the first bad input
+                    kind = "finite" if lo else "positive"
+                    raise ValueError(f"{name} must be {kind}, got {value}")
+        one_minus, hk, composite_mass = 1.0 - alpha, hbar * k, m * (1.0 + alpha * alpha)
+        energy = hbar * hbar * k * k / (2.0 * composite_mass)
+        # m (1 - alpha^2) / (hbar k), factored to stay exact as alpha -> 1
+        c = m * one_minus * (1.0 + alpha) / hk if hk else inf
+        if not (composite_mass < inf and -inf < energy < inf and -inf < c < inf):  # M > 0
+            name = "M" if composite_mass == inf else "c" if -inf < energy < inf else "E"
+            raise ValueError(f"{name} overflows for hbar={hbar}, m={m}, alpha={alpha}, k={k}")
         # frozen: derived fields are set past the dataclass __setattr__, never through
         # vars(self), which would slow every later attribute read (CPython 3.11)
-        object.__setattr__(self, "beta", normalize_phase_shift(self.beta))
-        for name, value in derived:
-            if not -math.inf < value < math.inf:
-                raise ValueError(f"{name} overflows for hbar={hbar}, m={m}, alpha={alpha}, k={k}")
-            object.__setattr__(self, name, value)
+        set_ = object.__setattr__
+        if not -math.pi < beta <= math.pi:
+            set_(self, "beta", normalize_phase_shift(beta))
+        set_(self, "M", composite_mass)
+        set_(self, "E", energy)
+        set_(self, "c", c)
+        # kernel constants, each the subexpression a kernel evaluated per call (bit for bit):
+        # free of beta (a curve's copy keeps them), unchecked like that arithmetic
+        set_(self, "_d_floor", one_minus * one_minus)  # (1 - alpha)^2, the floor of D
+        set_(self, "_four_alpha", 4.0 * alpha)
+        set_(self, "_two_k", 2.0 * k)
+        set_(self, "_d_slope", -4.0 * alpha * k)  # D' = _d_slope sin(2kx + beta)
 
     def replace(self, **changes) -> "ModelParams":
         """Copy with some raw inputs changed, checked and derived again: faster than

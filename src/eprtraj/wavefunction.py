@@ -35,9 +35,8 @@ def amplitude_squared(x, params: ModelParams, xp=math):
     ``cos`` returns exactly 0, which no double argument gives, and ``c == 0``
     there, so ``t == tau`` and ``dt/dx == 0``.
     """
-    alpha = params.alpha
     c = xp.cos(params.k * x + 0.5 * params.beta)
-    return (1.0 - alpha) * (1.0 - alpha) + 4.0 * alpha * c * c
+    return params._d_floor + params._four_alpha * c * c
 
 
 def _slope_factor(x, params: ModelParams, d, xp=math):
@@ -45,7 +44,7 @@ def _slope_factor(x, params: ModelParams, d, xp=math):
 
     ``dt/dx = c (D - x D') / D^2`` and ``m_q = M (D - x D') / D^3``.
     """
-    return d - x * (-4.0 * params.alpha * params.k * xp.sin(2.0 * params.k * x + params.beta))
+    return d - x * (params._d_slope * xp.sin(params._two_k * x + params.beta))
 
 
 def psi_bipolar(x: float, params: ModelParams) -> complex:
@@ -62,8 +61,7 @@ def psi_polar(x: float, params: ModelParams) -> PolarForm:
     across cuts is handled by the action module, not here.
     """
     d = amplitude_squared(x, params)
-    return PolarForm(amplitude=math.sqrt(d), phase=cmath.phase(psi_bipolar(x, params)),
-                     amplitude_squared=d)
+    return PolarForm(math.sqrt(d), cmath.phase(psi_bipolar(x, params)), d)
 
 
 def epr_limit_wave(x: float, params: ModelParams, alpha_sequence) -> LimitSeries:

@@ -299,6 +299,21 @@ def test_trajectory_csv_run_edges_by_chunk_edges(starts, bulk_cells):
     assert _first_difference("".join(chunks), ref) is None and len(chunks) == 3
 
 
+@pytest.mark.parametrize("lengths", [
+    {"x": 2 ** 16 + 2, "t": 2 ** 16 + 2, "dtdx": 2 ** 16 + 2, "branch_id": 2 ** 16 + 100},
+    {"x": 2 ** 16 + 100, "t": 2 ** 16 + 100, "dtdx": 2 ** 16 + 100, "branch_id": 2 ** 16 + 2},
+    {"x": 5, "t": 4, "dtdx": 5, "branch_id": 5}, {"x": 5, "t": 5, "dtdx": 6, "branch_id": 5},
+])
+def test_trajectory_dataset_rejects_columns_of_unequal_length(lengths):
+    # the writers take the row count from x: extra labels were dropped, missing ones failed
+    # inside % with "not enough arguments"
+    from eprtraj.dataset import TrajectoryDataset
+    columns = {name: np.zeros(n, dtype=int if name == "branch_id" else float)
+               for name, n in lengths.items()}
+    with pytest.raises(ValueError, match=re.escape(f"columns differ in length: {lengths}")):
+        TrajectoryDataset(params=_params_ref(), turning_points=_turning_points(), **columns)
+
+
 def test_dataset_branch_ids_match_segments():
     from eprtraj import segment_trajectory, validate_params
     from eprtraj.dataset import build_trajectory_dataset

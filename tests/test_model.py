@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -145,6 +146,60 @@ def test_replace_validates_and_derives_again():
             **changes})
         assert (q.E, q.M, q.c, q.beta) == (fresh.E, fresh.M, fresh.c, fresh.beta)
         assert q == fresh and repr(q) == repr(fresh)
+
+
+_FIELDS = ["hbar", "m", "alpha", "beta", "k", "E", "M", "tau", "c"]
+
+
+def _kernel_constants(p):
+    """What a ModelParams holds beyond its dataclass fields."""
+    return {name: value for name, value in vars(p).items() if name not in _FIELDS}
+
+
+def test_kernel_constants_are_beta_free_and_unseen():
+    from pathlib import Path
+
+    from eprtraj.dataset import params_dict
+    p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)  # the params golden's defaults
+    constants = _kernel_constants(p)
+    assert constants and all(name.startswith("_") for name in constants)
+    # free of beta: a curve's copy (trajectory.turning_points_by_beta) keeps them
+    for beta in (-3.0, 1e-300, 2.9, 7.5, -math.pi):
+        assert _kernel_constants(p.replace(beta=beta)) == constants
+    assert [f.name for f in dataclasses.fields(ModelParams)] == _FIELDS
+    assert repr(p) == ("ModelParams(hbar=1.0, m=1.0, alpha=0.5, beta=0.0, "
+                       "k=1.5707963267948966, E=0.9869604401089358, M=1.25, tau=0.0)")
+    q = p.replace()
+    object.__setattr__(q, "_d_floor", -1.0)  # == and hash read the fields alone
+    assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+    golden = Path(__file__).parent / "golden" / "params.json"
+    assert params_dict(p) == json.loads(golden.read_text())
+    assert list(params_dict(p)) == ["hbar", "m", "alpha", "beta", "k", "E", "M", "tau"]
+
+
+@pytest.mark.parametrize("args, message", [  # each message as the parent commit raised it
+    ((0.0, 1.0, 0.5, 0.0, math.pi / 2), "hbar must be positive, got 0.0"),
+    ((1.0, 1.0, math.nan, 0.0, math.pi / 2), "alpha must be positive, got nan"),
+    ((1.0, 1.0, 0.5, math.inf, math.pi / 2), "beta must be finite, got inf"),
+    ((1e-320, 1.0, 0.5, 0.0, math.pi / 2),  # eprtraj params --hbar 1e-320
+     "c overflows for hbar=1e-320, m=1.0, alpha=0.5, k=1.5707963267948966"),
+    ((1.0, math.nan, math.nan, math.nan, math.nan), "m must be positive, got nan"),
+    ((1e300, 1e-300, 1.0, 0.0, 1e10), "E overflows for hbar=1e+300, m=1e-300, alpha=1.0, "
+                                      "k=10000000000.0"),
+    ((1.0, 1e308, 1e200, 0.0, 1.0), "M overflows for hbar=1.0, m=1e+308, alpha=1e+200, k=1.0"),
+])
+def test_rejections_keep_their_messages(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_params(*args)
+
+
+def test_extreme_accepted_input_keeps_its_overflow():
+    # no new rejection: the constants are not checked, so 2 k is inf here, as the kernels'
+    # 2.0 * k * x was, and every kernel meets the overflow where it met it before
+    p = validate_params(1e-300, 1, 0.5, 0, 1e308)
+    assert (p.E, p.M, p.c) == (0.0, 1.25, 7.5e-09)
+    assert _kernel_constants(p) == {"_d_floor": 0.25, "_four_alpha": 2.0, "_two_k": math.inf,
+                                    "_d_slope": -math.inf}
 
 
 @pytest.mark.parametrize("record, text", [
