@@ -3,7 +3,8 @@
 Datasets are numpy columns.  Writers call ``write`` once per chunk of 2**15 rows, built with no
 Python loop over the rows, and render a cell rows share once: a trajectory run's labels into its
 rows' CSV template, a branch id into JSON.  CSV numbers carry 9 significant digits (C locale); a
-JSON document is a dict laid out by :func:`write_json`, its floats re-read bit-identically.
+JSON document is a dict laid out by :func:`write_json`, its floats re-read bit-identically.  A
+JSON number column is rendered by one ``orjson.dumps`` call, each cell as ``repr`` renders it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .entanglon import (_divergence_ratio, _time_parts,  # noqa: F401
 from .model import LimitSeries, ModelParams
 from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION, TEMPORAL_MAX,  # noqa: F401
                          TEMPORAL_MIN, TrajectoryEvent, TurningPoints, _direction_index,
-                         _dtdx_array, _require_finite, _time_array, _validate_range,
-                         _wedge_edges, find_turning_points, pair_events, positions_at_time,
-                         time_of_position, turning_points_by_beta, wedge_bounds)
+                         _dtdx_array, _require_finite, _slope_overflow, _time_array,
+                         _validate_range, _wedge_edges, find_turning_points, pair_events,
+                         positions_at_time, time_of_position, turning_points_by_beta,
+                         wedge_bounds)
 
 _CHUNK_ROWS = 2 ** 15
 
@@ -57,15 +59,29 @@ def _fill(write, template, *columns, head: str = "") -> None:
 
 def _json_cells(values) -> np.ndarray:
     """A column as ``json.dumps`` writes its cells, in an object array: text (an object
-    array) as it is, words quoted, integers by ``str``, floats by repr or NaN/Infinity."""
+    array) as it is, words quoted, numbers by one ``orjson.dumps`` split on ``,``.  Its
+    integers are ``str``'s and its finite floats the shortest round-trip digits, as ``repr``
+    writes them except in exponent form; ``json.dumps`` (one call) renders the cells where
+    the two may differ: NaN and +-inf (orjson writes ``null``), ``repr``'s exponent range
+    (nonzero ``|v| < 1e-4``, ``|v| >= 1e16``) and any other cell orjson writes with an ``e``."""
     values = np.asarray(values)
     if values.dtype == object:
         return values
     if values.dtype.kind == "U":
         return np.array(list(map(json.dumps, values.tolist())), dtype=object)
-    cells = np.fromiter(map(repr, values.tolist()), dtype=object, count=values.size)
-    bad = ~np.isfinite(values)
-    cells[bad] = [json.dumps(v) for v in values[bad].tolist()]
+    import orjson  # on first use: a process that writes no JSON never loads it
+    floats = values.dtype.kind == "f"
+    values = np.ascontiguousarray(values, dtype=float if floats else None)
+    raw = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = np.array(str(memoryview(raw)[1:-1], "ascii").split(",") if values.size else [],
+                     dtype=object)
+    if floats:
+        size = np.abs(values)
+        redo = ~np.isfinite(values) | (size >= 1e16) | ((size < 1e-4) & (size > 0.0))
+        if b"e" in raw:
+            redo |= np.fromiter(("e" in cell for cell in cells.tolist()), bool, values.size)
+        if redo.any():
+            cells[redo] = json.dumps(values[redo].tolist())[1:-1].split(", ")
     return cells
 
 
@@ -157,7 +173,7 @@ def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
     with np.errstate(over="ignore"):  # _validate_range bounds |g| and |t|, not |g| / D^2
         ts, slopes = _time_array(xs, params), _dtdx_array(xs, params)
     if np.isinf(slopes).any():
-        raise ValueError(f"dt/dx = g / D^2 overflows at x = {xs[np.isinf(slopes).argmax()]}")
+        raise _slope_overflow(xs[np.isinf(slopes).argmax()])
     tps = find_turning_points(x_min, x_max, params)
     return TrajectoryDataset(params, xs, ts, slopes, turning_points=tps,
                              branch_id=np.searchsorted(tps.x, xs))

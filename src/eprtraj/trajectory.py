@@ -134,7 +134,8 @@ def time_of_position(x, params: ModelParams, xp=math) -> float:
 
 
 def dtdx(x, params: ModelParams, xp=math) -> float:
-    """Analytic derivative ``c (D - x D') / D^2`` of :func:`time_of_position`."""
+    """Analytic derivative ``c (D - x D') / D^2`` of :func:`time_of_position`: ``+-inf``, with
+    no warning, where it passes the float range."""
     d = amplitude_squared(x, params, xp)
     return params.c * _slope_factor(x, params, d, xp) / (d * d)
 
@@ -144,9 +145,16 @@ _time_array = functools.partial(time_of_position, xp=np)
 _dtdx_array = functools.partial(dtdx, xp=np)
 
 
+def _slope_overflow(x) -> ValueError:
+    return ValueError(f"dt/dx = g / D^2 overflows at x = {x}")
+
+
 def trajectory_point(x: float, params: ModelParams) -> TrajectoryPoint:
-    """Sample the motion at ``x`` with its direction classification."""
+    """Sample the motion at ``x`` with its direction classification; a dt/dx past the float
+    range raises ValueError."""
     slope = dtdx(x, params)
+    if math.isinf(slope):
+        raise _slope_overflow(x)
     return TrajectoryPoint(x=x, t=time_of_position(x, params), dtdx=slope,
                            direction=_DIRECTIONS[_direction_index(slope)])
 
@@ -374,11 +382,14 @@ def bohmian_time_of_position(x: float, params: ModelParams) -> float:
     Treating the conjugate momentum as the mechanical momentum yields
     ``t_B(x) = (M/(hbar k)) [(1+alpha^2) x + (alpha/k)(sin(2kx+beta) - sin
     beta)]``, which is strictly increasing: this contrasting equation of
-    motion has no retrograde segments.
+    motion has no retrograde segments.  The sine difference is taken as
+    ``2 cos(kx + beta) sin(kx)``, with no cancellation as x -> 0; the bracket's
+    slope is D, so it is at least ``(1-alpha)^2 |x|`` and the result within
+    ``2 eps (1+alpha^2) / (1-alpha)^2`` relative (checked with 50-digit mpmath).
     """
     a, b, k = params.alpha, params.beta, params.k
     return (params.M / (params.hbar * k)) * (
-        (1.0 + a * a) * x + (a / k) * (math.sin(2.0 * k * x + b) - math.sin(b)))
+        (1.0 + a * a) * x + (2.0 * a / k) * math.cos(k * x + b) * math.sin(k * x))
 
 
 def mechanical_momentum(x: float, params: ModelParams) -> float:

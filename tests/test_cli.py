@@ -4,9 +4,13 @@ import math
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprtraj.cli import main
 from eprtraj.dataset import fmt9
@@ -651,6 +655,69 @@ def test_json_writers_match_generic_encoder_at_chunk_edges(n, bulk_cells, monkey
     for params in (p, validate_params(1e-300, 5e-324, 1.5, -0.0, 1e300, tau=-1e300)):
         doc = params_dict(params)  # the params command's document
         assert _written(write_json, doc) == json.dumps(doc, indent=2) + "\n"
+
+
+# Where orjson's float text can differ from repr's: two ulp either side of repr's exponent
+# range edges, both zeros and the non-finite values
+_EDGES = (np.array([1e-4, 1e16]).view(np.int64)[:, None] + np.arange(-2, 3)).view(np.float64)
+_EDGES = np.concatenate([_EDGES.ravel(), [0.0, math.nan, math.inf]])
+_EDGES = np.concatenate([_EDGES, -_EDGES])
+
+
+class _StandInOrjson:
+    """An orjson that writes a float ``v`` as ``text(v)``: exponent rules other than its own."""
+
+    OPT_SERIALIZE_NUMPY = orjson.OPT_SERIALIZE_NUMPY
+
+    def __init__(self, text):
+        self.text = text
+
+    def dumps(self, values, option):
+        if values.dtype.kind != "f":
+            return orjson.dumps(values, option=option)
+        return ("[" + ",".join(map(self.text, values.tolist())) + "]").encode()
+
+
+_STAND_INS = (_StandInOrjson("{:.17e}".format),  # exponent form everywhere, then nowhere
+              _StandInOrjson(lambda v: f"{v:f}" if 0 < abs(v) < 1e-4 or abs(v) >= 1e16
+                             else repr(v)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(bits=st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),  # any float64, then subnormals
+                                st.integers(0, 2 ** 52 - 1),
+                                st.integers(2 ** 63, 2 ** 63 + 2 ** 52 - 1)), max_size=24),
+       step=st.integers(2, 3))
+def test_json_cells_are_json_dumps_cells(bits, step):
+    # each cell as json.dumps writes it, from orjson's text and, whatever orjson's exponent
+    # rules are, from the stand-ins'
+    from eprtraj.dataset import _json_cells
+    raw = np.array(bits, dtype=np.uint64)
+    floats = np.concatenate([raw.view(np.float64), _EDGES])
+    size = np.abs(floats)
+    int64 = np.iinfo(np.int64)
+    for column in (floats, floats[(size >= 1e-4) & (size < 1e16)], raw.view(np.int64),
+                   np.append(raw.view(np.int64), [int64.min, int64.max, 0]),
+                   np.append(raw, [0, np.iinfo(np.uint64).max])):
+        for view in (column, column[:0], column[::step], column[::-1],
+                     np.column_stack([column, column])[:, 1]):
+            want = [json.dumps(v) for v in view.tolist()]
+            assert _json_cells(view).tolist() == want
+            for stand_in in _STAND_INS:
+                with mock.patch.dict(sys.modules, orjson=stand_in):
+                    assert _json_cells(view).tolist() == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--m", "1e20", "--samples", "5"],  # t and dtdx cells past 1e16
+    ["decompose", "--xmin=-1e-4", "--xmax", "1e-4", "--samples", "201"],  # cells below 1e-4
+    ["invert", "--m", "1e20", "--t", "1e20", "--xmax", "3"],
+])
+def test_json_exponent_cells_match_generic_encoder(argv, capsys):
+    assert run_main(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert "e+" in text or "e-" in text
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_writers_call_the_sink_once_per_chunk(bulk_cells):

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,6 +84,16 @@ def test_dtdx_vanishes_at_turning_point(ref_params):
 def test_trajectory_point_direction(ref_params):
     assert trajectory_point(0.5, ref_params).direction == "forward"
     assert trajectory_point(1.5, ref_params).direction == "retrograde"
+
+
+@pytest.mark.filterwarnings("error")
+def test_trajectory_point_refuses_dtdx_past_float_range():
+    # |g| and |t| are finite at x = 1.00001, |g| / D^2 is not: the scalar kernel says -inf,
+    # the sample refuses it with the CLI's message
+    p = make_params(alpha=0.9999, beta=0.0, m=1e303)
+    assert dtdx(1.00001, p) == -math.inf
+    with pytest.raises(ValueError, match=r"^dt/dx = g / D\^2 overflows at x = 1\.00001$"):
+        trajectory_point(1.00001, p)
 
 
 def test_turning_points_reference_range(ref_params):
@@ -265,6 +277,20 @@ def test_bohmian_matches_quadrature(ref_params):
     quad = np.trapezoid(integrand, xs)
     assert bohmian_time_of_position(1.5, ref_params) == pytest.approx(
         float(quad), rel=1e-8)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-8, 1e-4, 0.3, 1.7, -1e-8])
+def test_bohmian_matches_mpmath_without_cancellation(x):
+    # at alpha = 0.999, beta = pi the bracket is (1-alpha)^2 x + O(x^3), and sin(2kx + beta) -
+    # sin beta taken as a difference cancels as x -> 0; the bound is the docstring's
+    p = make_params(alpha=0.999, beta=math.pi)
+    a, b, k = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.k))
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        exact = mpmath.mpf(p.M) / (mpmath.mpf(p.hbar) * k) * (
+            (1 + a * a) * xm + a / k * (mpmath.sin(2 * k * xm + b) - mpmath.sin(b)))
+        rel = abs((bohmian_time_of_position(x, p) - exact) / exact)
+    assert rel <= 2 * sys.float_info.epsilon * (1 + p.alpha ** 2) / (1 - p.alpha) ** 2
 
 
 def test_bohmian_strictly_monotone(ref_params):
