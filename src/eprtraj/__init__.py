@@ -57,51 +57,3 @@ from .wavefunction import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActionSample",
-    "Decomposition",
-    "InfiniteVelocityError",
-    "LimitSeries",
-    "ModelParams",
-    "ParticlePositions",
-    "PolarForm",
-    "QuantumMassSample",
-    "Segment",
-    "TrajectoryEvent",
-    "TrajectoryPoint",
-    "TurningPoint",
-    "TurningPoints",
-    "WedgeBounds",
-    "action_sample",
-    "amplitude_squared",
-    "bohmian_time_of_position",
-    "conjugate_momentum",
-    "decompose_time",
-    "dtdx",
-    "effective_quantum_mass",
-    "energy_from_wavenumber",
-    "entanglon_divergence",
-    "epr_limit_mass",
-    "epr_limit_time",
-    "epr_limit_wave",
-    "find_turning_points",
-    "is_trigger_point",
-    "mechanical_momentum",
-    "normalize_phase_shift",
-    "pair_events",
-    "particle_positions",
-    "positions_at_time",
-    "psi_bipolar",
-    "psi_polar",
-    "quantum_potential",
-    "reduced_action_principal",
-    "reduced_action_unwrapped",
-    "segment_trajectory",
-    "time_of_position",
-    "trajectory_point",
-    "turning_points_by_beta",
-    "validate_params",
-    "wavenumber_from_energy",
-    "wedge_bounds",
-]

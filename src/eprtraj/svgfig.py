@@ -8,14 +8,18 @@ Axes follow the motion's natural reading: time runs along the horizontal
 axis, position up the vertical axis.  The time axis spans t = 0 (the launch
 point) and every plotted time, negative ones included.
 Curves are drawn as single x-parameterized polylines, so retrograde segments double back
-leftward; their y cells, shared by every curve, are rendered to text once.  A ``<desc>``
-element records the data-to-pixel calibration for downstream consumers.
+leftward; their y cells, shared by every curve, are rendered to text once.  Pixel cells
+are ``"%.3f"`` text from a digit table (``_fixed3``), byte for byte what ``%`` writes; a
+polyline's text is built and written one curve at a time.  A ``<desc>`` element records the
+data-to-pixel calibration for downstream consumers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 # build_trajectory_dataset stays importable here: perfbench/tracing.py wraps it
 from .dataset import SweepDataset, build_trajectory_dataset  # noqa: F401
@@ -32,6 +36,36 @@ _MARKER = '<circle cx="%.2f" cy="%.2f" r="3.5" fill="%s"/>'
 FIGURES = {1: ([0.0, math.pi], ["#1f4e9c", "#b23434"], ["", ' stroke-dasharray="6 5"']),
            2: ([j * math.pi / 4.0 for j in range(8)], ["#1f4e9c", "#b23434", "#2c8c50",
                "#8c5f2c", "#6a3d9a", "#2c8c8c", "#a03d6e", "#5f6f2c"], [""] * 8)}
+
+
+# 0..999 as 4-byte words: the fraction ".%03d", and the integer part "%3d" led by a NUL,
+# its leading blanks NUL too
+_FRACTION = np.frombuffer(b"".join(b".%03d" % i for i in range(1000)), np.uint32)
+_INTEGER = np.frombuffer(b"".join(b"\0%3d" % i for i in range(1000)).replace(b" ", b"\0"),
+                         np.uint32)
+
+
+def _fixed3(v):
+    """``b"%.3f" % v`` for each value of the float array ``v``, as the rows of a uint8 matrix
+    padded with NUL on the left.  A cell in [0, 1000) is ``rint(1000 v)`` read from the digit
+    tables; ``%`` itself writes a cell within 1e-6 of a rounding tie, a negative or -0.0
+    one (``-0.000``), and a non-finite one or one that rounds to at least 1000, and the
+    matrix widens to the longest of those."""
+    table = (v < 1000.0) & ~np.signbit(v)  # False for NaN
+    s = np.where(table, v, 0.0) * 1000.0
+    r = np.rint(s)
+    table &= (np.abs(s - r) < 0.5 - 1e-6) & (r < 1e6)
+    whole, frac = np.divmod(r.astype(np.intp), 1000)
+    cells = np.stack((_INTEGER.take(whole, mode="clip"), _FRACTION.take(frac, mode="clip")),
+                     axis=1).view(np.uint8)
+    rest = np.flatnonzero(~table)
+    if rest.size:
+        texts = [b"%.3f" % x for x in v[rest].tolist()]
+        width = max(8, *map(len, texts))
+        cells = np.pad(cells, ((0, 0), (width - 8, 0)))
+        cells[rest] = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in texts),
+                                    np.uint8).reshape(-1, width)
+    return cells
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -91,10 +125,14 @@ def render_figure(figure_id: int, ds: SweepDataset, turning_points, write) -> No
     parts.append(f'<text x="18" y="{(py_top + py_bottom) / 2:.1f}" font-size="15" '
                  'text-anchor="middle">x</text>')
 
-    points = " ".join(map("%%.3f,%.3f".__mod__, to_py(xs).tolist()))  # "%.3f,<y> ..."
+    # each curve's points are "<t>,<y> ...", its own t cells beside the shared ",<y> " cells;
+    # the NUL bytes that pad the cells drop out of the text, as does the last point's space
+    ys = np.pad(_fixed3(to_py(xs)), ((0, 0), (1, 1)), constant_values=(ord(","), ord(" ")))
+    ys[-1, -1] = 0
     for i, (ts, color, dash, tps) in enumerate(zip(ds.t, colors, dashes, turning_points)):
+        points = np.concatenate((_fixed3(to_px(ts)), ys), axis=1).tobytes().translate(None, b"\0")
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4"'
-                     f'{dash} points="{points % tuple(to_px(ts).tolist())}"/>')
+                     f'{dash} points="{points.decode()}"/>')
         if len(tps):  # one template for the curve's markers: red maxima, green minima
             cells = zip(to_px(tps.t).tolist(), to_py(tps.x).tolist(),
                         tps.maximum.choose(["#2c8c50", "#b23434"]).tolist())

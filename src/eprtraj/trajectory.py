@@ -399,10 +399,15 @@ def mechanical_momentum(x: float, params: ModelParams) -> float:
     At turning points the velocity diverges (the trajectory is superluminal
     there) while the conjugate momentum stays finite; those points raise
     :class:`InfiniteVelocityError`: dt/dx is 0 or changes sign within
-    ``ROOT_XTOL`` of ``x``, the width of a turning point's final bracket.
+    ``max(ROOT_XTOL, 1 ulp of x)`` of ``x``.  ``ROOT_XTOL`` is the width of a turning
+    point's final bracket; past |x| = 2^20, ``x +- ROOT_XTOL`` rounds to ``x``, and the
+    probes are the doubles next to ``x``.
     """
-    slopes = [dtdx(x + dx, params) for dx in (-ROOT_XTOL, 0.0, ROOT_XTOL)]
+    probes = (min(x - ROOT_XTOL, math.nextafter(x, -math.inf)), x,
+              max(x + ROOT_XTOL, math.nextafter(x, math.inf)))
+    slopes = [dtdx(v, params) for v in probes]
     if {_direction_index(s) for s in slopes} not in ({1}, {-1}):
         raise InfiniteVelocityError(f"dt/dx is {slopes[1]:.3e} at x={x}, a turning point to "
-                                    f"within {ROOT_XTOL:g}: the velocity diverges there")
+                                    f"within max({ROOT_XTOL:g}, 1 ulp): the velocity diverges "
+                                    "there")
     return params.M / slopes[1]

@@ -4,6 +4,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprtraj import (
     InfiniteVelocityError,
@@ -334,3 +336,19 @@ def test_mechanical_momentum_raises_at_every_turning_point(k, beta, x_max, count
             mechanical_momentum(x, p)
         assert math.isfinite(mechanical_momentum(x - 1e-6, p))
         assert math.isfinite(mechanical_momentum(x + 1e-6, p))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.floats(6.0, 12.0))
+def test_mechanical_momentum_raises_at_every_turning_point_far_out(log_x0):
+    # past |x| = 2^20, x +- ROOT_XTOL rounds to x: the probes are x's neighbouring doubles,
+    # and a point midway between two turning points keeps a finite momentum
+    p = make_params(k=1.6, beta=0.3)
+    x0 = 10.0 ** log_x0
+    xs = find_turning_points(x0, x0 + 40.0, p).x.tolist()
+    assert len(xs) >= 40
+    for x in xs:
+        with pytest.raises(InfiniteVelocityError, match="turning point"):
+            mechanical_momentum(x, p)
+    for a, b in zip(xs, xs[1:]):
+        assert math.isfinite(mechanical_momentum(0.5 * (a + b), p))
