@@ -23,16 +23,13 @@ from .model import (
     LimitSeries,
     ModelParams,
     ParticlePositions,
-    energy_from_wavenumber,
     normalize_phase_shift,
     particle_positions,
     validate_params,
-    wavenumber_from_energy,
 )
 from .trajectory import (
     Segment,
     TrajectoryEvent,
-    TrajectoryPoint,
     TurningPoint,
     TurningPoints,
     WedgeBounds,
@@ -44,7 +41,6 @@ from .trajectory import (
     positions_at_time,
     segment_trajectory,
     time_of_position,
-    trajectory_point,
     turning_points_by_beta,
     wedge_bounds,
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import dataset as ds
 from .model import validate_params
-from .svgfig import FIGURES, render_figure
+from .svgfig import FIGURES, render_figure, time_axis
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -89,6 +89,14 @@ def _emit(text: str, handle) -> None:
     handle.write(text)
 
 
+def _figure_data(a: argparse.Namespace, params, betas):
+    """The figure's sweep, its time axis checked before the file is opened, and markers."""
+    sweep = ds.build_sweep_dataset(params, betas, a.xmin, a.xmax, a.samples)
+    time_axis(sweep.t)
+    return sweep, (ds.turning_points_by_beta(a.xmin, a.xmax, params, betas) if a.markers
+                   else [()] * len(betas))
+
+
 # command: (builder, {format: writer(args, params, data, write)}); the first format
 # is the default.  Names are looked up when a command runs, so wrappers installed
 # after import (as perfbench/tracing.py installs them) see every call.
@@ -100,10 +108,7 @@ _COMMANDS = {
                                                   a.xmin, a.xmax, a.samples),
               {"csv": lambda a, p, data, w: ds.sweep_csv(data, w),
                "json": lambda a, p, data, w: ds.sweep_json(data, w)}),
-    "figure": (lambda a, p: (ds.build_sweep_dataset(p, FIGURES[a.figure_id][0], a.xmin, a.xmax,
-                                                    a.samples),
-                             ds.turning_points_by_beta(a.xmin, a.xmax, p, FIGURES[a.figure_id][0])
-                             if a.markers else [()] * len(FIGURES[a.figure_id][0])),
+    "figure": (lambda a, p: _figure_data(a, p, FIGURES[a.figure_id][0]),
                {"svg": lambda a, p, data, w: render_figure(a.figure_id, *data, w)}),
     "decompose": (lambda a, p: ds.build_decompose_rows(p, a.xmin, a.xmax, a.samples),
                   {"csv": lambda a, p, rows, w: ds.decompose_csv(rows, w),

@@ -22,9 +22,8 @@ from .entanglon import (_divergence_ratio, _time_parts,  # noqa: F401
                         decompose_time, is_trigger_point)
 from .model import LimitSeries, ModelParams
 from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION, TEMPORAL_MAX,  # noqa: F401
-                         TEMPORAL_MIN, TrajectoryEvent, TurningPoints, _direction_index,
-                         _dtdx_array, _require_finite, _slope_overflow, _time_array,
-                         _validate_range, _wedge_edges, find_turning_points, pair_events,
+                         TEMPORAL_MIN, TurningPoints, _check_range, _direction_index,
+                         _dtdx_array, _time_array, _wedge_edges, find_turning_points,
                          positions_at_time, time_of_position, turning_points_by_beta,
                          wedge_bounds)
 
@@ -149,31 +148,21 @@ class TrajectoryDataset:
     def __len__(self) -> int:
         return len(self.x)
 
-    @property
-    def direction(self) -> np.ndarray:
-        """forward, retrograde or turning per sample, from the sign of dt/dx."""
-        return np.array(_DIRECTIONS, dtype=object)[_direction_index(self.dtdx)]
-
-    @property
-    def events(self) -> list[TrajectoryEvent]:
-        """The turning points as creation/annihilation events."""
-        return pair_events(self.turning_points)
-
 
 def _sample_grid(x_min: float, x_max: float, samples: int, params: ModelParams) -> np.ndarray:
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    _validate_range(x_min, x_max, params)
+    _check_range(x_min, x_max, params)
     return np.linspace(x_min, x_max, samples)
 
 
 def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
                              samples: int) -> TrajectoryDataset:
     xs = _sample_grid(x_min, x_max, samples, params)
-    with np.errstate(over="ignore"):  # _validate_range bounds |g| and |t|, not |g| / D^2
+    with np.errstate(over="ignore"):  # _check_range bounds |g| and |t|, not |g| / D^2
         ts, slopes = _time_array(xs, params), _dtdx_array(xs, params)
     if np.isinf(slopes).any():
-        raise _slope_overflow(xs[np.isinf(slopes).argmax()])
+        raise ValueError(f"dt/dx = g / D^2 overflows at x = {xs[np.isinf(slopes).argmax()]}")
     tps = find_turning_points(x_min, x_max, params)
     return TrajectoryDataset(params, xs, ts, slopes, turning_points=tps,
                              branch_id=np.searchsorted(tps.x, xs))
@@ -258,7 +247,8 @@ def build_decompose_rows(params: ModelParams, x_min: float, x_max: float,
                          samples: int) -> np.ndarray:
     """Columns x, c_p1, c_p2, c_ent, total of :func:`decompose_time`, shape (samples, 5)."""
     xs = _sample_grid(x_min, x_max, samples, params)
-    return np.column_stack((xs, *_time_parts(xs, params, np)))
+    with np.errstate(over="ignore"):  # m x past the float range is rescaled, not written
+        return np.column_stack((xs, *_time_parts(xs, params, np)))
 
 
 def decompose_csv(rows: np.ndarray, write) -> None:
@@ -279,7 +269,8 @@ def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
     """
     def row(x, p):
         t, m_q = time_of_position(x, p), effective_quantum_mass(x, p).m_q
-        _require_finite(f"at alpha = {p.alpha}", ("t", t), ("m_q", m_q))
+        if not (math.isfinite(t) and math.isfinite(m_q)):
+            raise ValueError(f"{'m_q' if math.isfinite(t) else 't'} overflows at alpha = {p.alpha}")
         ratio = _divergence_ratio(t, x, p) if is_trigger_point(x, p) and x != 0.0 else None
         return p.alpha, x, t, m_q, ratio
     return list(LimitSeries.study(x, params, alphas, side, row).values)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .action import effective_quantum_mass
 from .model import LimitSeries, ModelParams
-from .trajectory import time_of_position
+from .trajectory import _free_time, time_of_position
 from .wavefunction import amplitude_squared
 
 TRIGGER_TOL = 1e-9
@@ -54,20 +54,24 @@ def _time_parts(x, params: ModelParams, xp=math):
     a = params.alpha
     d = amplitude_squared(x, params, xp)
     cos_th = xp.cos(params._two_k * x + params.beta)
-    u = params.m * x / (params.hbar * params.k)
+    u, unscale = _free_time(x, params)
     weight = 1.0 + a * a
-    c_p1 = u / weight
-    c_p2 = -u * a * a / weight
-    c_ent = -u * 2.0 * a * ((1.0 - a) * (1.0 + a) / weight) * cos_th / d
+    c_p1 = u / weight / unscale
+    c_p2 = -u * a * a / weight / unscale
+    c_ent = -u * 2.0 * a * ((1.0 - a) * (1.0 + a) / weight) * cos_th / d / unscale
     return c_p1, c_p2, c_ent, c_p1 + c_p2 + c_ent
 
 
 def _divergence_ratio(t: float, x: float, params: ModelParams) -> float:
-    # t - tau over the trigger-point divergence scale 2mx / (hbar k (1 - alpha))
-    scale = 2.0 * params.m * x
-    if scale == 0.0:
+    # t - tau over the divergence scale 2mx / (hbar k (1 - alpha)), both / 2^512 (exact) on overflow
+    if 2.0 * params.m * x == 0.0:
         raise ValueError(f"the divergence scale 2 m x underflows to 0 at x = {x}")
-    return (t - params.tau) * params.hbar * params.k * (1.0 - params.alpha) / scale
+    for f in (1.0, 2.0 ** -512):
+        scale = 2.0 * f * params.m * x
+        ratio = (t - params.tau) * f * params.hbar * params.k * (1.0 - params.alpha) / scale
+        if math.isfinite(ratio) and math.isfinite(scale):
+            break
+    return ratio
 
 
 def entanglon_divergence(x: float, params: ModelParams, alpha_sequence) -> LimitSeries:

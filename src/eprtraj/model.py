@@ -148,20 +148,6 @@ def validate_params(hbar: float, m: float, alpha: float, beta: float, k: float,
     return ModelParams(hbar, m, alpha, beta, k, tau)
 
 
-def energy_from_wavenumber(k: float, params: ModelParams) -> float:
-    """Energy of the molecule for wavenumber ``k``: hbar^2 k^2 / (2 M)."""
-    if k < 0.0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    return params.hbar * params.hbar * k * k / (2.0 * params.M)
-
-
-def wavenumber_from_energy(energy: float, params: ModelParams) -> float:
-    """Wavenumber for molecule energy ``E``: sqrt(2 M E) / hbar."""
-    if energy < 0.0:
-        raise ValueError(f"energy must be non-negative, got {energy}")
-    return math.sqrt(2.0 * params.M * energy) / params.hbar
-
-
 def particle_positions(x: float, params: ModelParams) -> ParticlePositions:
     """Positions of both particles when the molecule coordinate is ``x``.
 

@@ -72,6 +72,18 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def time_axis(t) -> tuple[float, float]:
+    """``(t_lo, t_hi)``: t = 0 and 2 % past every time of ``t``; a span past the float range
+    raises ValueError."""
+    t_lo = min(0.0, 1.02 * float(t.min()))
+    t_hi = max(0.0, 1.02 * float(t.max()))
+    if t_hi <= t_lo:
+        t_hi = t_lo + 1.0
+    if not math.isfinite(t_hi - t_lo):
+        raise ValueError(f"the time axis span overflows for t in [{t.min()}, {t.max()}]")
+    return t_lo, t_hi
+
+
 def render_figure(figure_id: int, ds: SweepDataset, turning_points, write) -> None:
     """``write`` figure 1 or 2 as SVG 1.1, one call per curve: ``ds`` sweeps the figure's betas
     on the plotted x-range, ``turning_points`` holds each curve's markers (empty for none)."""
@@ -80,10 +92,7 @@ def render_figure(figure_id: int, ds: SweepDataset, turning_points, write) -> No
     betas, colors, dashes = FIGURES[figure_id]
     xs, x_min, x_max = ds.xs, float(ds.xs[0]), float(ds.xs[-1])
 
-    t_lo = min(0.0, 1.02 * float(ds.t.min()))
-    t_hi = max(0.0, 1.02 * float(ds.t.max()))
-    if t_hi <= t_lo:
-        t_hi = t_lo + 1.0
+    t_lo, t_hi = time_axis(ds.t)
     px_left = _MARGIN_LEFT
     px_right = _WIDTH - _MARGIN_RIGHT
     py_bottom = _HEIGHT - _MARGIN_BOTTOM

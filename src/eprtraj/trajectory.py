@@ -43,15 +43,6 @@ _EVENT_KINDS = {TEMPORAL_MIN: CREATION, TEMPORAL_MAX: ANNIHILATION}
 _DIRECTIONS = (TURNING, FORWARD, RETROGRADE)
 
 
-class TrajectoryPoint(NamedTuple):
-    """One sample of the equation of motion."""
-
-    x: float
-    t: float
-    dtdx: float
-    direction: str
-
-
 class TurningPoint(NamedTuple):
     """Position where dt/dx changes sign.
 
@@ -145,40 +136,29 @@ _time_array = functools.partial(time_of_position, xp=np)
 _dtdx_array = functools.partial(dtdx, xp=np)
 
 
-def _slope_overflow(x) -> ValueError:
-    return ValueError(f"dt/dx = g / D^2 overflows at x = {x}")
-
-
-def trajectory_point(x: float, params: ModelParams) -> TrajectoryPoint:
-    """Sample the motion at ``x`` with its direction classification; a dt/dx past the float
-    range raises ValueError."""
-    slope = dtdx(x, params)
-    if math.isinf(slope):
-        raise _slope_overflow(x)
-    return TrajectoryPoint(x=x, t=time_of_position(x, params), dtdx=slope,
-                           direction=_DIRECTIONS[_direction_index(slope)])
-
-
-def _require_finite(where: str, *bounds) -> None:
-    """Raise ValueError naming the first ``(quantity, value)`` that is not finite."""
-    for name, value in bounds:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} overflows {where}")
-
-
-def _validate_range(x_min: float, x_max: float, params: ModelParams) -> None:
+def _check_range(x_min: float, x_max: float, params: ModelParams, t=None) -> None:
     """Finite ``x_min < x_max`` on which the phase ``2kx + beta`` and the bounds of ``|c x|``,
     ``|g| = |c (D - x D')|`` (``|D - x D'| <= (1+alpha)^2 + 4 alpha k |x|``) and ``|t|``
-    (``D >= (1-alpha)^2``; at ``alpha == 1``, ``c == 0`` and ``t == tau``) stay finite."""
+    (``D >= (1-alpha)^2``; at ``alpha == 1``, ``c == 0`` and ``t == tau``) stay finite; given
+    ``t``, a finite one, on which the terms of ``h = c x - (t - tau) D`` and their sum do too."""
+    if t is not None and not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
     k, a, c, reach = params.k, params.alpha, abs(params.c), max(-x_min, x_max)
-    _require_finite(f"on [{x_min}, {x_max}]",
-                    *[("the phase 2kx + beta", 2.0 * k * x + params.beta) for x in (x_min, x_max)],
-                    ("c x", c * reach),
-                    ("g = c (D - x D')", c * ((1.0 + a) * (1.0 + a) + 4.0 * a * k * reach)),
-                    ("t = tau + c x / D", abs(params.tau)
-                     + (c * reach / ((1.0 - a) * (1.0 - a)) if c else 0.0)))
+    dt = 0.0 if t is None else t - params.tau
+    dt_d = dt * (1.0 + a) * (1.0 + a)
+    bounds = [*[("the phase 2kx + beta", 2.0 * k * x + params.beta) for x in (x_min, x_max)],
+              ("c x", c * reach),
+              ("g = c (D - x D')", c * ((1.0 + a) * (1.0 + a) + 4.0 * a * k * reach)),
+              ("t = tau + c x / D", abs(params.tau)
+               + (c * reach / ((1.0 - a) * (1.0 - a)) if c else 0.0)),
+              ("4 alpha k (t - tau)", 4.0 * a * k * dt), ("(t - tau)(1 + alpha)^2", dt_d),
+              ("h = c x - (t - tau) D", c * reach + abs(dt_d))]
+    for i, (name, value) in enumerate(bounds[:5 if t is None else 8]):
+        if not math.isfinite(value):
+            at = "" if i < 5 else f"at t = {t} "
+            raise ValueError(f"{name} overflows {at}on [{x_min}, {x_max}]")
 
 
 def _phase_points(x_min: float, x_max: float, params: ModelParams, phase: float,
@@ -237,7 +217,7 @@ def turning_points_by_beta(x_min: float, x_max: float, params: ModelParams,
     if not curves:
         raise ValueError("beta list must not be empty")
     p, beta = curves[0], np.array([q.beta for q in curves])
-    _validate_range(x_min, x_max, p)  # its bounds do not depend on beta
+    _check_range(x_min, x_max, p)  # its bounds do not depend on beta
 
     def at(curve=None):  # the parameters the kernel reads at x of these curve numbers
         return p if len(curves) == 1 else SimpleNamespace(**vars(p) | {"beta": beta[curve]})
@@ -294,14 +274,9 @@ def positions_at_time(t: float, x_min: float, x_max: float,
     root, reached by Newton steps on ``h'``; an empty list means the horizontal
     line at ``t`` misses every branch.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    _validate_range(x_min, x_max, params)
+    _check_range(x_min, x_max, params, t)
     c, dt, a, k, b = params.c, t - params.tau, params.alpha, params.k, params.beta
-    amp, dt_d = 4.0 * a * k * dt, dt * (1.0 + a) * (1.0 + a)
-    _require_finite(f"at t = {t} on [{x_min}, {x_max}]", ("4 alpha k (t - tau)", amp),
-                    ("(t - tau)(1 + alpha)^2", dt_d),
-                    ("h = c x - (t - tau) D", abs(c) * max(-x_min, x_max) + abs(dt_d)))
+    amp = 4.0 * a * k * dt
     if c == 0.0 and dt == 0.0:
         raise ValueError(f"every position is at t = tau = {t} when alpha = 1")
 
@@ -353,13 +328,19 @@ def _wedge_edges(x, params: ModelParams):
     a, tau = params.alpha, params.tau
     if a == 1.0:
         return tau, math.inf
-    scale, unscale = params.m * x / (params.hbar * params.k), 1.0
-    if params.m > 1.0:  # where m x passes the float range (an edge may not): m x / 2^1024, exactly
-        f = 2.0 ** (-512 * (params.m * x == math.inf))
-        scale, unscale = params.m * f * (x * f) / (params.hbar * params.k), f * f
+    scale, unscale = _free_time(x, params)
     reinforced = tau + scale * (1.0 - a) / (1.0 + a) / unscale
     destructive = tau + scale * (1.0 + a) / (1.0 - a) / unscale
     return (destructive, reinforced) if a > 1.0 else (reinforced, destructive)
+
+
+def _free_time(x, params: ModelParams):
+    """Free-particle time ``m x / (hbar k)`` as ``(u, unscale)``, ``u / unscale`` (float or array):
+    where ``m x`` passes the float range, ``u`` is formed from ``m x / 2^1024``, exactly."""
+    if params.m <= 1.0:
+        return params.m * x / (params.hbar * params.k), 1.0
+    f = 2.0 ** (-512 * (abs(params.m * x) == math.inf))
+    return params.m * f * (x * f) / (params.hbar * params.k), f * f
 
 
 def pair_events(turning_points) -> list[TrajectoryEvent]:

@@ -77,18 +77,24 @@ def test_trajectory_json_roundtrip(tmp_path):
         assert tp_doc["x"] == tp.x and tp_doc["t"] == tp.t
 
 
+def _directions(ds):
+    """forward, retrograde or turning per row, from the sign of its dt/dx (NaN: turning)."""
+    return np.where(ds.dtdx > 0.0, "forward", np.where(ds.dtdx < 0.0, "retrograde", "turning"))
+
+
 def _trajectory_doc(ds):
     """The trajectory JSON document as a dict, for the generic encoder."""
+    from eprtraj import pair_events
     from eprtraj.dataset import params_dict
     return {
         "params": params_dict(ds.params),
         "rows": [{"x": x, "t": t, "dtdx": s, "branch_id": b, "direction": d}
                  for x, t, s, b, d in zip(ds.x.tolist(), ds.t.tolist(), ds.dtdx.tolist(),
-                                          ds.branch_id.tolist(), ds.direction.tolist())],
+                                          ds.branch_id.tolist(), _directions(ds).tolist())],
         "turning_points": [{"x": tp.x, "t": tp.t, "kind": tp.kind}
                            for tp in ds.turning_points],
         "events": [{"kind": ev.kind, "x": ev.x, "t": ev.t,
-                    "branch_ids": list(ev.branch_ids)} for ev in ds.events],
+                    "branch_ids": list(ev.branch_ids)} for ev in pair_events(ds.turning_points)],
     }
 
 
@@ -109,7 +115,7 @@ def _odd_trajectory(p, turning_points):
 
 
 def test_trajectory_json_matches_generic_encoder():
-    from eprtraj import validate_params
+    from eprtraj import pair_events, validate_params
     from eprtraj.dataset import build_trajectory_dataset, trajectory_json
     from eprtraj.trajectory import TurningPoint
     p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
@@ -117,9 +123,9 @@ def test_trajectory_json_matches_generic_encoder():
     assert list(tps) == [TurningPoint(1.0, math.inf, "temporal_max"),
                          TurningPoint(2.0, -math.inf, "temporal_min")]
     odd = _odd_trajectory(p, tps)
-    assert odd.direction.tolist() == ["turning", "forward", "turning", "retrograde"]
-    assert [(ev.kind, ev.branch_ids) for ev in odd.events] == [("annihilation", (0, 1)),
-                                                               ("creation", (1, 2))]
+    assert _directions(odd).tolist() == ["turning", "forward", "turning", "retrograde"]
+    assert [(ev.kind, ev.branch_ids) for ev in pair_events(odd.turning_points)] == [
+        ("annihilation", (0, 1)), ("creation", (1, 2))]
     for ds in (build_trajectory_dataset(p, 0.0, 4.0, 41), build_trajectory_dataset(p, 0.0, 0.5, 5),
                odd, _odd_trajectory(p, _turning_points())):
         assert _written(trajectory_json, ds) == json.dumps(_trajectory_doc(ds), indent=2) + "\n"
@@ -245,7 +251,7 @@ def test_chunked_csv_mixed_template(bulk_cells):
                            turning_points=_turning_points())
     ref = "".join(f"{fmt9(x)},{fmt9(t)},{fmt9(s)},{b},{d}\n" for x, t, s, b, d in
                   zip(ds.x.tolist(), ds.t.tolist(), ds.dtdx.tolist(), ds.branch_id.tolist(),
-                      ds.direction.tolist()))
+                      _directions(ds).tolist()))
     assert _written(trajectory_csv, ds) == "x,t,dtdx,branch_id,direction\n" + ref
 
 
@@ -263,7 +269,7 @@ def _trajectory_rows(cells, branch_id, dtdx):
     return ds, "x,t,dtdx,branch_id,direction\n" + "".join(
         f"{fmt9(x)},{fmt9(t)},{fmt9(s)},{b},{d}\n" for x, t, s, b, d in
         zip(ds.x.tolist(), ds.t.tolist(), ds.dtdx.tolist(), ds.branch_id.tolist(),
-            ds.direction.tolist()))
+            _directions(ds).tolist()))
 
 
 def test_trajectory_csv_runs_of_odd_cells():
@@ -285,7 +291,7 @@ def test_trajectory_csv_runs_of_odd_cells():
         for other in (floats, below):
             assert _written(trajectory_json, other) == json.dumps(_trajectory_doc(other),
                                                                   indent=2) + "\n"
-    assert ds.direction[:15].tolist() == ["turning"] * 5 + ["forward"] * 5 + ["turning"] * 5
+    assert _directions(ds)[:15].tolist() == ["turning"] * 5 + ["forward"] * 5 + ["turning"] * 5
 
 
 @pytest.mark.parametrize("starts", [(1, 2 ** 16 + 50),  # one run over three chunks
@@ -324,7 +330,7 @@ def test_dataset_branch_ids_match_segments():
     p = validate_params(1.0, 1.0, 0.5, 0.0, math.pi / 2)
     ds = build_trajectory_dataset(p, 0.0, 4.0, 801)
     segments = segment_trajectory(0.0, 4.0, p)
-    for x, branch_id, direction in zip(ds.x, ds.branch_id, ds.direction):
+    for x, branch_id, direction in zip(ds.x, ds.branch_id, _directions(ds)):
         seg = segments[branch_id]
         assert seg.x_start <= x <= seg.x_end
         if direction != "turning":
@@ -908,10 +914,60 @@ def _finite_json(text):
     (["limit", "--side", "below", "--alphas", "0.9", "--x", "1e-300", "--m", "1e-300",
       "--beta", "3.141592653589793"],
      "the divergence scale 2 m x underflows to 0 at x = 1e-300"),
+    # every command over a range meets the one range check
+    (["sweep", "--betas", "0", "--m", "1e308", "--samples", "3"], "c x overflows on [0.0, 4.0]"),
+    (["decompose", "--m", "1e308", "--samples", "3"], "c x overflows on [0.0, 4.0]"),
 ])
 def test_overflowing_parameters_exit_2(argv, message, capsys):
     assert run_main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_decompose_terms_where_m_x_passes_float_range(capsys):
+    # m x = 4e308 at x = 4, but every term is finite: they were written inf, -inf, inf, nan
+    from eprtraj import decompose_time, time_of_position, validate_params
+    argv = ["--m", "1e308", "--alpha", "0.01", "--k", "100", "--samples", "3"]
+    assert run_main(["decompose", *argv]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert run_main(["trajectory", *argv]) == 0
+    ts = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[4] for row in rows] == ts == ["0", "2.02082859e+306", "4.03536361e+306"]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    p = validate_params(1.0, 1e308, 0.01, 0.0, 100.0)
+    parts = decompose_time(4.0, p)
+    assert parts.c_p1 == pytest.approx(1e308 * (4.0 / 100.0 / 1.0001), rel=1e-15)
+    assert parts.total == pytest.approx(time_of_position(4.0, p), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("hbar, m, alpha, beta, k, ratio", [
+    # (t - tau) hbar = 1.5e309 at the trigger point x = 1: the ratio was inf
+    (100.0, 5e306, 0.5, 3.121592653589793, 0.01, "0.75"),
+    # the scale 2 m x = 2e308 passes the float range: the ratio was 0
+    (1.0, 1e308, 0.1, -2.0796628238430515, 100.0, "0.55"),
+])
+def test_limit_ratio_where_a_product_passes_float_range(hbar, m, alpha, beta, k, ratio, capsys):
+    from eprtraj import entanglon_divergence, validate_params
+    assert run_main(["limit", "--side", "below", "--x", "1", "--alphas", repr(alpha),
+                     "--hbar", repr(hbar), "--m", repr(m), "--k", repr(k),
+                     f"--beta={beta!r}"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == ratio
+    p = validate_params(hbar, m, alpha, beta, k)
+    assert entanglon_divergence(1.0, p, [alpha]).values == (pytest.approx(float(ratio)),)
+
+
+def test_figure_time_axis_past_float_range_exits_2(tmp_path, capsys):
+    # t spans +-1.53e308, so t_hi - t_lo passes the float range: every point was drawn at
+    # px 70, some cells nan; on [0, 3] t reaches 1.77e308 and 1.02 t passes it
+    out = tmp_path / "f.svg"
+    for argv, t_range in ((["--m", "2e307", "--xmin=-4"],
+                           "-1.5278874536821951e+308, 1.5278874536821951e+308"),
+                          (["--m", "3.089e307", "--xmax", "3"], "0.0, 1.7698666291591129e+308")):
+        assert run_main(["figure", "1", *argv, "--samples", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the time axis span overflows for t in [{t_range}]\n")
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -123,20 +123,23 @@ def _parent_kernels(p, xp):
     def s(x):
         return d(x) - x * (-4.0 * a * k * xp.sin(2.0 * k * x + beta))
 
+    def free(x):  # m x / (hbar k) as u / unscale, m x over 2^1024 where it overflows
+        if m <= 1.0:
+            return m * x / (hbar * k), 1.0
+        f = 2.0 ** (-512 * (abs(m * x) == math.inf))
+        return m * f * (x * f) / (hbar * k), f * f
+
     def parts(x):
-        u, weight = m * x / (hbar * k), 1.0 + a * a
-        c_p1, c_p2 = u / weight, -u * a * a / weight
+        (u, unscale), weight = free(x), 1.0 + a * a
+        c_p1, c_p2 = u / weight / unscale, -u * a * a / weight / unscale
         c_ent = (-u * 2.0 * a * ((1.0 - a) * (1.0 + a) / weight) * xp.cos(2.0 * k * x + beta)
-                 / d(x))
+                 / d(x) / unscale)
         return c_p1, c_p2, c_ent, c_p1 + c_p2 + c_ent
 
     def wedge(x):
         if a == 1.0:
             return tau, math.inf
-        scale, unscale = m * x / (hbar * k), 1.0
-        if m > 1.0:
-            f = 2.0 ** (-512 * (m * x == math.inf))
-            scale, unscale = m * f * (x * f) / (hbar * k), f * f
+        scale, unscale = free(x)
         reinforced = tau + scale * (1.0 - a) / (1.0 + a) / unscale
         destructive = tau + scale * (1.0 + a) / (1.0 - a) / unscale
         return (destructive, reinforced) if a > 1.0 else (reinforced, destructive)

@@ -18,14 +18,11 @@ from eprtraj import (
     QuantumMassSample,
     Segment,
     TrajectoryEvent,
-    TrajectoryPoint,
     TurningPoint,
     WedgeBounds,
-    energy_from_wavenumber,
     normalize_phase_shift,
     particle_positions,
     validate_params,
-    wavenumber_from_energy,
 )
 
 from conftest import make_params
@@ -203,8 +200,7 @@ def test_extreme_accepted_input_keeps_its_overflow():
 
 
 @pytest.mark.parametrize("record, text", [
-    (TrajectoryPoint(1.0, 2.0, -0.5, "retrograde"),
-     "TrajectoryPoint(x=1.0, t=2.0, dtdx=-0.5, direction='retrograde')"),
+    (TurningPoint(3.0, -1.0, "temporal_min"), "TurningPoint(x=3.0, t=-1.0, kind='temporal_min')"),
     (TurningPoint(1.0, 2.0, "temporal_max"), "TurningPoint(x=1.0, t=2.0, kind='temporal_max')"),
     (Segment(0.0, 1.0, "forward", 0),
      "Segment(x_start=0.0, x_end=1.0, direction='forward', branch_id=0)"),
@@ -229,35 +225,6 @@ def test_records_are_immutable_values(record, text):
 def test_beta_must_be_finite():
     with pytest.raises(ValueError, match="beta"):
         validate_params(1.0, 1.0, 0.5, math.inf, 1.0)
-
-
-def test_energy_from_wavenumber_example(ref_params):
-    assert energy_from_wavenumber(math.pi / 2, ref_params) == pytest.approx(
-        math.pi ** 2 / 10, rel=1e-14)
-    assert energy_from_wavenumber(0.0, ref_params) == 0.0
-    with pytest.raises(ValueError, match="non-negative"):
-        energy_from_wavenumber(-1.0, ref_params)
-
-
-def test_wavenumber_from_energy_example(ref_params):
-    assert wavenumber_from_energy(math.pi ** 2 / 10, ref_params) == pytest.approx(
-        math.pi / 2, rel=1e-14)
-    assert wavenumber_from_energy(0.0, ref_params) == 0.0
-    with pytest.raises(ValueError, match="non-negative"):
-        wavenumber_from_energy(-0.1, ref_params)
-
-
-def test_wavenumber_energy_roundtrips(ref_params):
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        k = rng.uniform(0.01, 50.0)
-        assert wavenumber_from_energy(
-            energy_from_wavenumber(k, ref_params), ref_params) == pytest.approx(
-                k, rel=1e-14)
-        e = rng.uniform(0.01, 50.0)
-        assert energy_from_wavenumber(
-            wavenumber_from_energy(e, ref_params), ref_params) == pytest.approx(
-                e, rel=1e-14)
 
 
 def test_particle_positions_examples(ref_params):

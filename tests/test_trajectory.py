@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -18,7 +19,6 @@ from eprtraj import (
     positions_at_time,
     segment_trajectory,
     time_of_position,
-    trajectory_point,
     wedge_bounds,
 )
 from eprtraj.trajectory import TEMPORAL_MAX, TEMPORAL_MIN, TurningPoint
@@ -83,19 +83,36 @@ def test_dtdx_vanishes_at_turning_point(ref_params):
     assert abs(dtdx(tp.x, ref_params)) <= 1e-7
 
 
-def test_trajectory_point_direction(ref_params):
-    assert trajectory_point(0.5, ref_params).direction == "forward"
-    assert trajectory_point(1.5, ref_params).direction == "retrograde"
+def test_segment_direction_at_sample_points(ref_params):
+    segments = segment_trajectory(0.0, 2.0, ref_params)
+    assert [s.direction for s in segments if s.x_start <= 0.5 <= s.x_end] == ["forward"]
+    assert [s.direction for s in segments if s.x_start <= 1.5 <= s.x_end] == ["retrograde"]
 
 
 @pytest.mark.filterwarnings("error")
-def test_trajectory_point_refuses_dtdx_past_float_range():
+def test_dtdx_past_float_range_is_inf_and_refused_by_dataset():
     # |g| and |t| are finite at x = 1.00001, |g| / D^2 is not: the scalar kernel says -inf,
-    # the sample refuses it with the CLI's message
+    # the dataset refuses it with the CLI's message
+    from eprtraj.dataset import build_trajectory_dataset
     p = make_params(alpha=0.9999, beta=0.0, m=1e303)
     assert dtdx(1.00001, p) == -math.inf
     with pytest.raises(ValueError, match=r"^dt/dx = g / D\^2 overflows at x = 1\.00001$"):
-        trajectory_point(1.00001, p)
+        build_trajectory_dataset(p, 1.00001, 1.0001, 4)
+
+
+@pytest.mark.parametrize("t, x_min, x_max, message", [
+    (math.inf, 1.0, 0.0, "t must be finite, got inf"),
+    (math.nan, 0.0, 1.0, "t must be finite, got nan"),
+    (0.0, 1.0, 0.0, "need x_min < x_max, got [1.0, 0.0]"),
+    (0.0, 0.0, math.inf, "need x_min < x_max, got [0.0, inf]"),
+    # the range's terms come before those of h, which name t
+    (1e308, 0.0, 1e308, "the phase 2kx + beta overflows on [0.0, 1e+308]"),
+    (1e308, 0.0, 4.0, "4 alpha k (t - tau) overflows at t = 1e+308 on [0.0, 4.0]"),
+])
+def test_positions_at_time_checks_t_then_the_range_then_h(ref_params, t, x_min, x_max,
+                                                          message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        positions_at_time(t, x_min, x_max, ref_params)
 
 
 def test_turning_points_reference_range(ref_params):
