@@ -149,16 +149,17 @@ class TrajectoryDataset:
         return len(self.x)
 
 
-def _sample_grid(x_min: float, x_max: float, samples: int, params: ModelParams) -> np.ndarray:
+def _sample_grid(x_min: float, x_max: float, samples: int, params: ModelParams,
+                 g=False) -> np.ndarray:
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    _check_range(x_min, x_max, params)
+    _check_range(x_min, x_max, params, g=g)
     return np.linspace(x_min, x_max, samples)
 
 
 def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
                              samples: int) -> TrajectoryDataset:
-    xs = _sample_grid(x_min, x_max, samples, params)
+    xs = _sample_grid(x_min, x_max, samples, params, g=True)  # dt/dx = g / D^2 is sampled too
     with np.errstate(over="ignore"):  # _check_range bounds |g| and |t|, not |g| / D^2
         ts, slopes = _time_array(xs, params), _dtdx_array(xs, params)
     if np.isinf(slopes).any():
@@ -181,11 +182,15 @@ def trajectory_csv(ds: TrajectoryDataset, write) -> None:
 
 def trajectory_json(ds: TrajectoryDataset, write) -> None:
     """Event ``i`` shares turning point ``i``'s cells and joins branches ``i`` and ``i + 1``."""
-    tps, (b, row) = ds.turning_points, np.unique(ds.branch_id, return_inverse=True)
+    tps, b = ds.turning_points, ds.branch_id
     x, t, top = _json_cells(tps.x), _json_cells(tps.t), tps.maximum.astype(np.intp)
     ids = _json_cells(np.arange(len(tps) + 1))
+    # a built dataset's branch ids index the event id cells; other ids (a hand-made dataset's)
+    # are rendered once per distinct id
+    built = b.dtype.kind in "iu" and 0 <= b.min(initial=0) and b.max(initial=0) <= len(tps)
+    cells, row = (ids, b) if built else np.unique(b, return_inverse=True)
     write_json({"params": params_dict(ds.params), "rows": _Records(
-                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": _json_cells(b)[row],
+                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": _json_cells(cells)[row],
                      "direction": _json_cells(_DIRECTIONS)[_direction_index(ds.dtdx)]}),
                 "turning_points": _Records(
                     {"x": x, "t": t, "kind": _json_cells((TEMPORAL_MIN, TEMPORAL_MAX))[top]}),

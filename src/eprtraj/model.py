@@ -14,8 +14,6 @@ import operator
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -138,8 +136,8 @@ class LimitSeries:
 
 def normalize_phase_shift(beta: float) -> float:
     """Reduce a phase shift modulo 2*pi into the interval (-pi, pi]; one in it stays as is."""
-    r = beta - TWO_PI * math.ceil(beta / TWO_PI - 0.5)  # rounding can leave r a period out
-    return beta if -math.pi < beta <= math.pi else r - TWO_PI * ((r > math.pi) - (r <= -math.pi))
+    r = beta - math.tau * math.ceil(beta / math.tau - 0.5)  # rounding can leave r a period out
+    return beta if -math.pi < beta <= math.pi else r - math.tau * ((r > math.pi) - (r <= -math.pi))
 
 
 def validate_params(hbar: float, m: float, alpha: float, beta: float, k: float,

@@ -136,28 +136,37 @@ _time_array = functools.partial(time_of_position, xp=np)
 _dtdx_array = functools.partial(dtdx, xp=np)
 
 
-def _check_range(x_min: float, x_max: float, params: ModelParams, t=None) -> None:
-    """Finite ``x_min < x_max`` on which the phase ``2kx + beta`` and the bounds of ``|c x|``,
-    ``|g| = |c (D - x D')|`` (``|D - x D'| <= (1+alpha)^2 + 4 alpha k |x|``) and ``|t|``
-    (``D >= (1-alpha)^2``; at ``alpha == 1``, ``c == 0`` and ``t == tau``) stay finite; given
-    ``t``, a finite one, on which the terms of ``h = c x - (t - tau) D`` and their sum do too."""
+def _check_range(x_min: float, x_max: float, params: ModelParams, t=None, g=False) -> None:
+    """Finite ``x_min < x_max`` on which the bounds of what a stage evaluates are finite.
+
+    Every stage: the phase ``2kx + beta`` at both ends and ``|c x|``.  Samples (no ``t``):
+    ``|t|``, as ``D >= (1-alpha)^2`` (at ``alpha == 1``, ``c == 0`` and ``t == tau``); with ``g``
+    (turning points), ``|g| = |c (D - x D')|`` before it, as ``|D - x D'| <= (1+alpha)^2 +
+    4 alpha k |x|``.  Inversion (given ``t``, a finite one): the terms of ``h = c x - (t - tau)
+    D`` and their sum, in messages that name ``t``.
+    """
     if t is not None and not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
     k, a, c, reach = params.k, params.alpha, abs(params.c), max(-x_min, x_max)
-    dt = 0.0 if t is None else t - params.tau
-    dt_d = dt * (1.0 + a) * (1.0 + a)
-    bounds = [*[("the phase 2kx + beta", 2.0 * k * x + params.beta) for x in (x_min, x_max)],
-              ("c x", c * reach),
-              ("g = c (D - x D')", c * ((1.0 + a) * (1.0 + a) + 4.0 * a * k * reach)),
-              ("t = tau + c x / D", abs(params.tau)
-               + (c * reach / ((1.0 - a) * (1.0 - a)) if c else 0.0)),
-              ("4 alpha k (t - tau)", 4.0 * a * k * dt), ("(t - tau)(1 + alpha)^2", dt_d),
-              ("h = c x - (t - tau) D", c * reach + abs(dt_d))]
-    for i, (name, value) in enumerate(bounds[:5 if t is None else 8]):
+    bounds = [*[("the phase 2kx + beta", 2.0 * k * x + params.beta, None) for x in (x_min, x_max)],
+              ("c x", c * reach, None)]
+    if g:
+        bounds.append(("g = c (D - x D')", c * ((1.0 + a) * (1.0 + a) + 4.0 * a * k * reach),
+                       None))
+    if t is None:
+        bounds.append(("t = tau + c x / D", abs(params.tau)
+                       + (c * reach / ((1.0 - a) * (1.0 - a)) if c else 0.0), None))
+    else:
+        dt = t - params.tau
+        dt_d = dt * (1.0 + a) * (1.0 + a)
+        bounds += [("4 alpha k (t - tau)", 4.0 * a * k * dt, t),
+                   ("(t - tau)(1 + alpha)^2", dt_d, t),
+                   ("h = c x - (t - tau) D", c * reach + abs(dt_d), t)]
+    for name, value, at in bounds:
         if not math.isfinite(value):
-            at = "" if i < 5 else f"at t = {t} "
+            at = "" if at is None else f"at t = {at} "
             raise ValueError(f"{name} overflows {at}on [{x_min}, {x_max}]")
 
 
@@ -195,7 +204,17 @@ def _bracketed_roots(f, x_min: float, x_max: float, cuts, seed):
                        & (np.sign(fe[:-1]) * np.sign(fe[1:]) < 0.0))  # fe * fe may overflow
     lo, hi, on = edges[i], edges[i + 1], [v[i] for v in on]
     with np.errstate(all="ignore"):  # seeds and Newton steps not finite: the midpoint
-        return edges, fe, curve, i, bisect_root(f, lo, hi, fe[i], *on, seed=seed(lo, hi, *on))
+        roots = bisect_root(f, lo, hi, fe[i], *on, seed=seed(lo, hi, *on))
+        # a root below ROOT_XTOL cancels in its estimate, from an iterate ROOT_XTOL / 2 inside
+        # its bracket: Newton steps from it, clipped into the bracket, while |f| falls
+        j = np.flatnonzero(np.abs(roots) < ROOT_XTOL)
+        x, best = roots[j], np.inf
+        while j.size:
+            fx, step = f(x, *[v[j] for v in on])
+            fall = np.abs(fx) < best
+            roots[j[fall]] = x[fall]
+            j, best, x = j[fall], np.abs(fx[fall]), np.clip(x - step, lo[j], hi[j])[fall]
+    return edges, fe, curve, i, roots
 
 
 def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> TurningPoints:
@@ -217,7 +236,7 @@ def turning_points_by_beta(x_min: float, x_max: float, params: ModelParams,
     if not curves:
         raise ValueError("beta list must not be empty")
     p, beta = curves[0], np.array([q.beta for q in curves])
-    _check_range(x_min, x_max, p)  # its bounds do not depend on beta
+    _check_range(x_min, x_max, p, g=True)  # its bounds do not depend on beta
 
     def at(curve=None):  # the parameters the kernel reads at x of these curve numbers
         return p if len(curves) == 1 else SimpleNamespace(**vars(p) | {"beta": beta[curve]})

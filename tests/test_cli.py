@@ -893,9 +893,9 @@ def _finite_json(text):
      "t = tau + c x / D overflows on [0.0, 4.0]"),
     # h = c x - (t - tau) D adds its two terms' bounds: each alone is finite
     (["invert", "--t", "-7e307", "--k", "1e-3", "--m", "5e304"],
-     "t = tau + c x / D overflows on [0.0, 4.0]"),
+     "h = c x - (t - tau) D overflows at t = -7e+307 on [0.0, 4.0]"),
     (["invert", "--t", "7e307", "--xmin", "-4", "--xmax", "0", "--k", "1e-3", "--m", "5e304"],
-     "t = tau + c x / D overflows on [-4.0, 0.0]"),
+     "h = c x - (t - tau) D overflows at t = 7e+307 on [-4.0, 0.0]"),
     (["invert", "--t", "1e307", "--alpha", "2", "--k", "1e-3", "--xmax", "100",
       "--m", "3.34e302"], "h = c x - (t - tau) D overflows at t = 1e+307 on [0.0, 100.0]"),
     # |g| and |t| are in range, |g| / D^2 is not
@@ -914,13 +914,38 @@ def _finite_json(text):
     (["limit", "--side", "below", "--alphas", "0.9", "--x", "1e-300", "--m", "1e-300",
       "--beta", "3.141592653589793"],
      "the divergence scale 2 m x underflows to 0 at x = 1e-300"),
-    # every command over a range meets the one range check
+    # every command over a range meets the range check of the stages it runs
     (["sweep", "--betas", "0", "--m", "1e308", "--samples", "3"], "c x overflows on [0.0, 4.0]"),
     (["decompose", "--m", "1e308", "--samples", "3"], "c x overflows on [0.0, 4.0]"),
+    # |g| <= 6e308 passes the float range, |t| <= 1.2e307 stays inside it: the turning points
+    # are refused, the samples alone are not (test_samples_not_refused_for_g)
+    (["trajectory", "--m", "1e308", "--k", "100", "--samples", "3"],
+     "g = c (D - x D') overflows on [0.0, 4.0]"),
+    (["figure", "1", "--markers", "--m", "1e308", "--k", "100", "--samples", "5"],
+     "g = c (D - x D') overflows on [0.0, 4.0]"),
 ])
 def test_overflowing_parameters_exit_2(argv, message, capsys):
     assert run_main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_samples_not_refused_for_g(capsys):
+    # sweep, decompose and figure evaluate t, not g = c (D - x D'), whose bound passes the
+    # float range here; each was refused with the g message
+    from eprtraj import time_of_position, validate_params
+    p = validate_params(1.0, 1e308, 0.5, 0.0, 100.0)
+    ts = [fmt9(time_of_position(x, p)) for x in (0.0, 2.0, 4.0)]
+    assert ts == ["0", "2.06981154e+306", "3.74124321e+306"]
+    argv = ["--m", "1e308", "--k", "100", "--samples", "3"]
+    for cmd, column in ((["sweep", "--betas", "0"], 2), (["decompose"], 4)):
+        assert run_main([*cmd, *argv]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[column] for row in rows] == ts
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    assert run_main(["figure", "1", "--m", "1e308", "--k", "100", "--samples", "5"]) == 0
+    svg = capsys.readouterr().out
+    assert svg.count("<polyline") == 2 and "nan" not in svg and "inf" not in svg
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,6 +7,7 @@ forms ``g = c (D - x D')`` (the sign of dt/dx) and ``h = c x - (t - tau) D``
 """
 
 import itertools
+import json
 import math
 
 import mpmath
@@ -209,6 +210,30 @@ def test_roots_to_the_last_bit(alpha, beta, log_k, tau, x_min, width, where):
                                       solver="anderson")
             # 1e-40: mpmath's own resolution on that bracket
             assert abs(x - ref) <= 4.0 * max(math.ulp(x), resolution) + 1e-40, (f.__name__, x)
+
+
+@pytest.mark.parametrize("t, x_min, x_max, alpha, beta, k, m", [
+    (1e-20, 0.0, 4.0, 0.5, 0.0, math.pi / 2, 1.0),  # was 2.7e8 ulp off
+    (-1e-20, -4.0, 0.0, 0.5, 0.0, math.pi / 2, 1.0),
+    (1e-13, 0.0, 4.0, 0.5, 0.3, math.pi / 2, 1.0),  # was 47 ulp off
+    (1.0, 0.0, 4.0, 0.9, 0.0, math.pi / 2, 1e30),  # was 0, not a root
+    (1e-30, 0.0, 3.0, 0.5, -1.0, 40.0, 1.0),  # was 0
+    # |t| passes the float range here (c / (1 - alpha)^2), but the inversion does not
+    # evaluate it: the root is about 3.1e-295
+    (1.0, 0.0, 4.0, 0.9999999, 0.0, math.pi / 2, 1e302),
+])
+def test_roots_below_root_xtol_to_the_last_bit(t, x_min, x_max, alpha, beta, k, m, tmp_path):
+    # a root below ROOT_XTOL is polished by Newton steps: the estimate from an iterate
+    # ROOT_XTOL / 2 inside its bracket cancels there
+    p = make_params(alpha=alpha, beta=beta, k=k, m=m)
+    xs = positions_at_time(t, x_min, x_max, p)
+    assert len(xs) == 1 and 0.0 < abs(xs[0]) < ROOT_XTOL
+    assert abs(xs[0] - mp_position(t, xs[0], p)) <= 2.0 * math.ulp(xs[0])
+    out = tmp_path / "x.json"
+    assert main(["invert", "--t", repr(t), f"--xmin={x_min!r}", "--xmax", repr(x_max),
+                 "--alpha", repr(alpha), f"--beta={beta!r}", "--k", repr(k), "--m", repr(m),
+                 "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["positions"] == xs
 
 
 # Brackets for bisect_root from three functions on disjoint ranges of x:
