@@ -1,10 +1,11 @@
 """Dataset assembly and CSV/JSON serialization.
 
 Datasets are numpy columns.  Writers call ``write`` once per chunk of 2**15 rows, built with no
-Python loop over the rows, and render a cell rows share once: a trajectory run's labels into its
-rows' CSV template, a branch id into JSON.  CSV numbers carry 9 significant digits (C locale); a
-JSON document is a dict laid out by :func:`write_json`, its floats re-read bit-identically.  A
-JSON number column is rendered by one ``orjson.dumps`` call, each cell as ``repr`` renders it.
+Python loop over the rows, and render a cell rows share once (a run's labels, a sweep's x and
+wedge, a JSON branch id).  Number cells come from one ``orjson.dumps`` per column or chunk, as
+``repr`` (JSON) or ``"%.9g"`` (CSV: first rounded to ``r / 10^p``, ``r = rint(|v| 10^p)``, ``p =
+8 - floor(log10 |v|)``) writes them; Python writes the cells where they may differ: NaN, +-inf,
+exponent form, and CSV rows with a cell near a tie, of ``r`` not 9 digits or an integer.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION, TEMPORAL_MAX,  # n
                          wedge_bounds)
 
 _CHUNK_ROWS = 2 ** 15
+_POW10 = np.array([float(10 ** p) for p in range(13)])  # each exact
 
 
 def fmt9(value: float) -> str:
@@ -41,47 +43,57 @@ def params_dict(params: ModelParams) -> dict:
             "tau": params.tau}
 
 
-def _fill(write, template, *columns, head: str = "") -> None:
-    """``write`` ``template % row`` per row of the equal-length ``columns``, one call per 2**15
-    rows (``head`` joined onto the first): one ``%`` on the row template repeated, or on
-    ``template(rows)``, the chunk's own; ``"%.9g" % v`` is ``fmt9(v)``."""
-    n = len(columns[0])
-    buf = np.empty((min(n, _CHUNK_ROWS), len(columns)), dtype=object)
-    for lo in range(0, max(n, 1), _CHUNK_ROWS):  # no rows: one call with ``head``
-        m = min(n - lo, _CHUNK_ROWS)
-        for j, column in enumerate(columns):
-            buf[:m, j] = column[lo:lo + m]
-        text = template(slice(lo, lo + m)) if callable(template) else template * m
-        write(head + text % tuple(buf[:m].ravel()))
-        head = ""
-
-
-def _json_cells(values) -> np.ndarray:
-    """A column as ``json.dumps`` writes its cells, in an object array: text (an object
-    array) as it is, words quoted, numbers by one ``orjson.dumps`` split on ``,``.  Its
-    integers are ``str``'s and its finite floats the shortest round-trip digits, as ``repr``
-    writes them except in exponent form; ``json.dumps`` (one call) renders the cells where
-    the two may differ: NaN and +-inf (orjson writes ``null``), ``repr``'s exponent range
-    (nonzero ``|v| < 1e-4``, ``|v| >= 1e16``) and any other cell orjson writes with an ``e``."""
+def _json_cells(values, redo=None, render=None) -> np.ndarray:
+    """A column as ``json.dumps`` writes its cells, in an object array: text (an object array)
+    as it is, words quoted, numbers split from one ``orjson.dumps``, but by ``json.dumps`` where
+    the two may differ (NaN, +-inf, nonzero ``|v| < 1e-4``, ``|v| >= 1e16``) or, given ``redo``,
+    by ``render(at)`` where it flags (rows of 2-D ``values``); all if orjson writes an ``e``."""
     values = np.asarray(values)
-    if values.dtype == object:
-        return values
-    if values.dtype.kind == "U":
-        return np.array(list(map(json.dumps, values.tolist())), dtype=object)
-    import orjson  # on first use: a process that writes no JSON never loads it
-    floats = values.dtype.kind == "f"
-    values = np.ascontiguousarray(values, dtype=float if floats else None)
+    if values.dtype.kind in "OU":
+        return values if values.dtype == object else np.array(list(map(json.dumps, values)), object)
+    if redo is None:
+        v = np.ascontiguousarray(values, dtype=float if values.dtype.kind == "f" else None)
+        redo = ~((1e-4 <= abs(v)) & (abs(v) < 1e16) | (v == 0.0)) if v.dtype == float else v[:0] < 0
+        values = np.where(redo, math.nan, v) if redo.any() else v  # NaN's redo is True
+        render = lambda at: json.dumps(v[at].tolist())[1:-1].split(", ")  # noqa: E731
+    import orjson  # on first use: a process that writes no CSV or JSON never loads it
     raw = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = np.array(str(memoryview(raw)[1:-1], "ascii").split(",") if values.size else [],
-                     dtype=object)
-    if floats:
-        size = np.abs(values)
-        redo = ~np.isfinite(values) | (size >= 1e16) | ((size < 1e-4) & (size > 0.0))
-        if b"e" in raw:
-            redo |= np.fromiter(("e" in cell for cell in cells.tolist()), bool, values.size)
-        if redo.any():
-            cells[redo] = json.dumps(values[redo].tolist())[1:-1].split(", ")
-    return cells
+    cut, sep = (2, "],[") if values.ndim == 2 else (1, ",")
+    items = np.array(str(memoryview(raw)[cut:-cut], "ascii").split(sep), object)[:len(values)]
+    at = np.flatnonzero(redo) if b"e" not in raw else np.arange(len(values))
+    if at.size:
+        items[at] = render(at)
+    return items
+
+
+def _csv_rows(v) -> np.ndarray:
+    """Each row of the 2-D float array ``v`` as its ``fmt9`` cells joined by ``,``."""
+    q = np.abs(v)
+    fast = (q >= 1e-4) & (q < 1e9)
+    q[~fast] = 1.0  # no log10 of 0, inf or NaN
+    scale = _POW10.take(8 - np.floor(np.log10(q)).astype(np.intp), mode="clip")
+    r = np.rint(np.multiply(q, scale, out=q))
+    fast &= (np.abs(np.subtract(q, r, out=q), out=q) < 0.5 - 1e-6) & (r >= 1e8) & (r < 1e9)
+    q = np.copysign(np.divide(r, scale, out=r), v, out=r)
+    fast &= np.trunc(q, out=scale) != q
+    q[~fast] = math.nan  # orjson writes null, and % the row
+    return _json_cells(q if v.shape[1] > 1 else q[:, 0], ~fast.all(axis=1), lambda at: ("\n".join(
+        [",".join(["%.9g"] * v.shape[1])] * len(at)) % tuple(v[at].ravel().tolist())).split("\n"))
+
+
+def _write_rows(write, head: str, n: int, *pieces, last=None) -> None:
+    """``write`` ``n`` rows, one call per 2**15 rows (``head`` on the first, ``last`` for the last
+    row's last piece): each piece's CSV cells (columns), items (a function of rows) or text."""
+    for lo in range(0, max(n, 1), _CHUNK_ROWS):  # no rows: one call with ``head``
+        rows = slice(lo, min(n, lo + _CHUNK_ROWS))
+        buf = np.empty((rows.stop - lo, len(pieces)), dtype=object)
+        for j, piece in enumerate(pieces):
+            buf[:, j] = piece(rows) if callable(piece) else piece if isinstance(piece, str) else (
+                _csv_rows(np.column_stack([c[rows] for c in piece])))
+        if rows.stop == n and last is not None:
+            buf[-1, -1] = last
+        buf[:1, 0] = [("" if lo else head) + cell for cell in buf[:1, 0]]  # not a text copy
+        write("".join(buf.ravel().tolist()) or head)
 
 
 class _Records:
@@ -114,19 +126,10 @@ def write_json(doc, write) -> None:
         return write(pieces[0])
     lead, at = pieces[0], 0  # the text before a list rides on its first chunk, after on its last
     for records in lists:
-        width, n = len(records.columns), len(records.columns[0])
-        buf = np.empty((min(n, _CHUNK_ROWS), 2 * width), dtype=object)
-        buf[:, 1::2] = pieces[at + 1:at + width + 1]  # the inner pieces, then the separator
-        at += 2 * width
-        for lo in range(0, n, _CHUNK_ROWS):
-            m = min(n - lo, _CHUNK_ROWS)
-            for j, column in enumerate(records.columns):
-                buf[:m, 2 * j] = _json_cells(column[lo:lo + m])
-            buf[0, 0], lead = lead + buf[0, 0], ""
-            if lo + m == n:
-                buf[m - 1, -1] = pieces[at]
-            write("".join(buf[:m].ravel().tolist()))
-        del buf  # the last chunk's cells, before the next list's buffer is made
+        cells = [lambda rows, c=c: _json_cells(c[rows]) for c in records.columns]
+        _write_rows(write, lead, len(records.columns[0]), *sum(zip(cells, pieces[at + 1:]), ()),
+                    last=pieces[at + 2 * len(cells)])  # each cell then the text after it
+        lead, at = "", at + 2 * len(cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,14 +173,12 @@ def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,
 
 
 def trajectory_csv(ds: TrajectoryDataset, write) -> None:
-    ids, dirs = ds.branch_id.astype(np.intp, copy=False), _direction_index(ds.dtdx)
-    tails = [f",{name}\n" for name in _DIRECTIONS]
-    def template(rows):  # a run (rows of one branch_id and direction) has its labels in it
-        b, d = ids[rows], dirs[rows]
-        start = np.flatnonzero(np.r_[True, (b[1:] != b[:-1]) | (d[1:] != d[:-1])])
-        runs = zip(b[start].tolist(), d[start].tolist(), np.diff(start, append=len(b)).tolist())
-        return "".join([f"%.9g,%.9g,%.9g,{n}{tails[j]}" * k for n, j, k in runs])
-    _fill(write, template, ds.x, ds.t, ds.dtdx, head="x,t,dtdx,branch_id,direction\n")
+    def labels(rows):  # one text per run of rows of one branch_id and direction
+        b, d = ds.branch_id[rows].astype(np.intp), _direction_index(ds.dtdx[rows])
+        new = np.r_[True, (b[1:] != b[:-1]) | (d[1:] != d[:-1])][:len(b)]  # no rows: none
+        table = [f",{n},{_DIRECTIONS[j]}\n" for n, j in zip(b[new].tolist(), d[new].tolist())]
+        return np.array(table, dtype=object)[new.cumsum() - 1]
+    _write_rows(write, "x,t,dtdx,branch_id,direction\n", len(ds), (ds.x, ds.t, ds.dtdx), labels)
 
 
 def trajectory_json(ds: TrajectoryDataset, write) -> None:
@@ -227,15 +228,13 @@ def build_sweep_dataset(params: ModelParams, betas, x_min: float, x_max: float,
 
 
 def sweep_csv(ds: SweepDataset, write) -> None:
-    """The x and wedge cells every curve shares, rendered once into row templates."""
-    rows = list(map(",%.9g,%%.9g,%.9g,%.9g\n".__mod__,
-                    zip(ds.xs.tolist(), ds.t_lower.tolist(), ds.t_upper.tolist())))
-    head = "beta,x,t,t_lower,t_upper\n"
-    for beta, t in zip(map(fmt9, ds.betas), ds.t):
-        for lo in range(0, len(rows), _CHUNK_ROWS):
-            chunk = slice(lo, lo + _CHUNK_ROWS)
-            write(head + (beta + beta.join(rows[chunk])) % tuple(t[chunk].tolist()))
-            head = ""
+    """The x and wedge cells every curve shares are rendered once."""
+    wedge, chunks = np.column_stack((ds.t_lower, ds.t_upper)), range(0, len(ds.xs), _CHUNK_ROWS)
+    x = {lo: _csv_rows(ds.xs[lo:lo + _CHUNK_ROWS, None]) + "," for lo in chunks}
+    lohi = {lo: "," + _csv_rows(wedge[lo:lo + _CHUNK_ROWS]) + "\n" for lo in chunks}
+    for i, (beta, t) in enumerate(zip(map("%.9g,".__mod__, ds.betas), ds.t)):
+        _write_rows(write, "" if i else "beta,x,t,t_lower,t_upper\n", len(t), beta,
+                    lambda rows: x[rows.start], (t,), lambda rows: lohi[rows.start])
 
 
 def sweep_json(ds: SweepDataset, write) -> None:
@@ -257,7 +256,7 @@ def build_decompose_rows(params: ModelParams, x_min: float, x_max: float,
 
 
 def decompose_csv(rows: np.ndarray, write) -> None:
-    _fill(write, "%.9g,%.9g,%.9g,%.9g,%.9g\n", *rows.T, head="x,c_p1,c_p2,c_ent,total\n")
+    _write_rows(write, "x,c_p1,c_p2,c_ent,total\n", len(rows), tuple(rows.T), "\n")
 
 
 def decompose_json(params: ModelParams, rows: np.ndarray, write) -> None:
@@ -282,9 +281,8 @@ def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
 
 
 def limit_csv(rows, write) -> None:
-    a, x, t, m_q, ratio = zip(*rows)
-    _fill(write, "%.9g,%.9g,%.9g,%.9g,%s\n", a, x, t, m_q,
-          ["" if r is None else fmt9(r) for r in ratio], head="alpha,x,t,m_q,ratio\n")
+    _write_rows(write, "alpha,x,t,m_q,ratio\n", len(rows), tuple(zip(*rows))[:4], ",", lambda at: [
+        "" if row[4] is None else fmt9(row[4]) for row in rows[at]], "\n")  # no ratio: blank
 
 
 def limit_json(params: ModelParams, side: str, rows, write) -> None:
@@ -301,7 +299,7 @@ def build_invert_positions(params: ModelParams, t: float, x_min: float,
 
 
 def invert_csv(positions, write) -> None:
-    _fill(write, "%.9g\n", positions, head="x\n")
+    _write_rows(write, "x\n", len(positions), (positions,), "\n")
 
 
 def invert_json(params: ModelParams, t: float, positions, write) -> None:

@@ -52,12 +52,12 @@ def _fixed3(v):
     one (``-0.000``), and a non-finite one or one that rounds to at least 1000, and the
     matrix widens to the longest of those."""
     table = (v < 1000.0) & ~np.signbit(v)  # False for NaN
-    s = np.where(table, v, 0.0) * 1000.0
+    s = np.multiply(np.where(table, v, 0.0), 1000.0)
     r = np.rint(s)
-    table &= (np.abs(s - r) < 0.5 - 1e-6) & (r < 1e6)
-    whole, frac = np.divmod(r.astype(np.intp), 1000)
+    table &= (np.abs(np.subtract(s, r, out=s), out=s) < 0.5 - 1e-6) & (r < 1e6)
+    whole, frac = np.divmod(r.astype(np.intp), 1000, out=(s.view(np.intp), r.view(np.intp)))
     cells = np.stack((_INTEGER.take(whole, mode="clip"), _FRACTION.take(frac, mode="clip")),
-                     axis=1).view(np.uint8)
+                     axis=1).view(np.uint8)  # whole and frac in the float buffers, 8 B a cell
     rest = np.flatnonzero(~table)
     if rest.size:
         texts = [b"%.3f" % x for x in v[rest].tolist()]
@@ -139,9 +139,11 @@ def render_figure(figure_id: int, ds: SweepDataset, turning_points, write) -> No
     ys = np.pad(_fixed3(to_py(xs)), ((0, 0), (1, 1)), constant_values=(ord(","), ord(" ")))
     ys[-1, -1] = 0
     for i, (ts, color, dash, tps) in enumerate(zip(ds.t, colors, dashes, turning_points)):
-        points = np.concatenate((_fixed3(to_px(ts)), ys), axis=1).tobytes().translate(None, b"\0")
+        points = (np.concatenate((_fixed3(to_px(ts)), ys), axis=1).tobytes()
+                  .translate(None, b"\0").decode())  # each copy freed once the next is made
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4"'
-                     f'{dash} points="{points.decode()}"/>')
+                     f'{dash} points="{points}"/>')
+        del points  # one copy of the text less while the chunk is joined
         if len(tps):  # one template for the curve's markers: red maxima, green minima
             cells = zip(to_px(tps.t).tolist(), to_py(tps.x).tolist(),
                         tps.maximum.choose(["#2c8c50", "#b23434"]).tolist())

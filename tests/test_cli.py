@@ -255,6 +255,106 @@ def test_chunked_csv_mixed_template(bulk_cells):
     assert _written(trajectory_csv, ds) == "x,t,dtdx,branch_id,direction\n" + ref
 
 
+def _rows_of(cells, width):
+    """``cells`` as a float block of ``width`` columns, repeated to fill its last row."""
+    return np.resize(np.array(cells, dtype=float), (-(-len(cells) // width), width))
+
+
+def _fmt9_rows(block):
+    return [",".join(map(fmt9, row)) for row in block.tolist()]
+
+
+def _tie9(j, k, step=0):
+    """The double nearest the rounding tie (2j + 1) / 2 * 10^-k of a 9-digit j, or the
+    ``step``-th one next to it."""
+    v = (2 * j + 1) / (2 * 10 ** k)  # int / int: correctly rounded
+    for _ in range(abs(step)):
+        v = math.nextafter(v, math.copysign(math.inf, step))
+    return v
+
+
+def _fixed_csv_cells():
+    rng = np.random.default_rng(25)
+    tens = [float(f"1e{k}") for k in range(-5, 11)]
+    ties = [_tie9(int(j), int(k), step) for j, k in zip(rng.integers(10 ** 8, 10 ** 9, 700),
+                                                        rng.integers(0, 13, 700))
+            for step in (-1, 0, 1)]
+    big = 999999999.5
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-310, -1e-310, 1.0, -1.0, 12.0, -12.0, 1e8, 123456789.0, 2.0 ** 53, 1e300,
+               big, math.nextafter(big, 0.0), math.nextafter(big, math.inf), -big]
+    cells = np.concatenate([
+        rng.integers(0, 2 ** 64, 2000, dtype=np.uint64).view(np.float64),  # raw bit patterns
+        10.0 ** rng.uniform(-8.0, 20.0, 4000) * rng.choice([-1.0, 1.0], 4000),
+        tens, [math.nextafter(v, 0.0) for v in tens], [math.nextafter(v, math.inf) for v in tens],
+        ties, np.negative(ties), special, np.arange(-1000.0, 1000.0, 7.0)])  # integer-valued
+    return rng.permutation(cells)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_csv_rows_are_fmt9_cells_fixed(width):
+    from eprtraj.dataset import _csv_rows
+    block = _rows_of(_fixed_csv_cells(), width)
+    assert _csv_rows(block).tolist() == _fmt9_rows(block)
+
+
+def test_csv_rows_take_ordinary_cells_from_orjson(monkeypatch):
+    # a cell in [1e-4, 1e9) whose 9 digits are no integer is orjson's text (not null): % is
+    # only the fallback
+    from eprtraj.dataset import _csv_rows
+    real, texts = orjson.dumps, []
+    monkeypatch.setattr(orjson, "dumps", lambda values, option: texts.append(
+        real(values, option=option)) or texts[-1])
+    rng = np.random.default_rng(5)
+    cells = 10.0 ** rng.uniform(-4.0, 9.0, 6000) * rng.choice([-1.0, 1.0], 6000)
+    cells = cells[["." in fmt9(v) for v in cells.tolist()]][:5000]
+    for width in (1, 5):
+        block = cells.reshape(-1, width)
+        assert _csv_rows(block).tolist() == _fmt9_rows(block)
+        assert b"null" not in texts[-1] and b"e" not in texts[-1]
+
+
+def _float_of_bits(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0].item()
+
+
+_CSV_CELLS = st.one_of(
+    st.floats(1e-4, 1e9),  # the range orjson writes, and its edges
+    st.floats(),
+    st.integers(0, 2 ** 64 - 1).map(_float_of_bits),
+    st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-8.0, 20.0), st.sampled_from([-1, 1])),
+    st.builds(_tie9, st.integers(10 ** 8, 10 ** 9 - 1), st.integers(0, 12),
+              st.sampled_from([-1, 0, 1])),
+    st.integers(-10 ** 9, 10 ** 9).map(float),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(cells=st.lists(_CSV_CELLS, min_size=1, max_size=40), width=st.sampled_from([1, 2, 3, 5]))
+def test_csv_rows_are_fmt9_cells(cells, width):
+    from eprtraj.dataset import _csv_rows
+    block = _rows_of(cells, width)
+    assert _csv_rows(block).tolist() == _fmt9_rows(block)
+
+
+def test_csv_chunk_in_percent_bytes_where_orjson_writes_exponents(bulk_cells, monkeypatch):
+    # an orjson that writes every number in exponent form ("1.5" as "1.5e0"): the chunk is
+    # written by % as a whole, the same bytes
+    from eprtraj.dataset import decompose_csv, invert_csv, trajectory_csv
+    real = orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda values, option: re.sub(
+        rb"(\d)(?=[],])", rb"\1e0", real(values, option=option)))
+    assert b"1.5e0]" in orjson.dumps(np.array([1.5]), option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = np.column_stack([np.linspace(0.5, 7.5, 1000)] * 5)
+    cells[::3] = bulk_cells[0][:334]
+    assert _written(decompose_csv, cells) == "x,c_p1,c_p2,c_ent,total\n" + "".join(
+        row + "\n" for row in _fmt9_rows(cells))
+    ds, ref = _trajectory_rows(cells, np.arange(1000) // 7, cells[:, 2])
+    assert _written(trajectory_csv, ds) == ref
+    assert _written(invert_csv, cells[:, 0]) == "x\n" + "".join(
+        row + "\n" for row in _fmt9_rows(cells[:, :1]))
+
+
 def _first_difference(text, ref):
     """None, or the first line where ``text`` differs from ``ref`` (no diff of megabytes)."""
     return next(((i, a, b) for i, (a, b) in enumerate(itertools.zip_longest(
@@ -273,7 +373,7 @@ def _trajectory_rows(cells, branch_id, dtdx):
 
 
 def test_trajectory_csv_runs_of_odd_cells():
-    # runs of 5 rows (one template each) over the odd cells, turning rows (-0.0, NaN) inside
+    # runs of 5 rows (one label entry each) over the odd cells, turning rows (-0.0, NaN) inside
     # branch 0; the odd dataset itself starts a run at every row
     import dataclasses
     from eprtraj.dataset import trajectory_csv, trajectory_json
@@ -292,6 +392,15 @@ def test_trajectory_csv_runs_of_odd_cells():
             assert _written(trajectory_json, other) == json.dumps(_trajectory_doc(other),
                                                                   indent=2) + "\n"
     assert _directions(ds)[:15].tolist() == ["turning"] * 5 + ["forward"] * 5 + ["turning"] * 5
+
+
+def test_csv_writers_of_no_rows_write_the_header():
+    from eprtraj.dataset import TrajectoryDataset, invert_csv, trajectory_csv
+    empty = np.array([])
+    ds = TrajectoryDataset(params=_params_ref(), x=empty, t=empty, dtdx=empty,
+                           branch_id=empty.astype(int), turning_points=_turning_points())
+    assert _written(trajectory_csv, ds) == "x,t,dtdx,branch_id,direction\n"
+    assert _written(invert_csv, []) == "x\n"
 
 
 @pytest.mark.parametrize("starts", [(1, 2 ** 16 + 50),  # one run over three chunks

@@ -75,6 +75,10 @@ BULK = {
     "figure_markers": (["figure", "2", "--markers", "--k", "20", "--xmin", "-2", "--xmax", "6",
                         "--alpha", "1.5", "--tau", "1", "--samples", "4001"],
                        "18ab5b2096f6276ace2fd10f1f1421d99708e25c2ed877316df58dc9087abcbc"),
+    # every one of the 8001 rows its own run of branch_id and direction, written by the writer
+    # that filled one %-template per run
+    "trajectory_short_runs": (["trajectory", "--k", "2000", "--xmax", "20", "--samples", "8001"],
+                              "d00c5c6afe506924bf7855cbc7eb294218397a201c7f3c951bdc0a373da6ef36"),
 }
 
 # Where the root cells start, and a pattern for each root cell after that.
