@@ -2,7 +2,7 @@
 
 Datasets are numpy columns.  Writers call ``write`` once per chunk of 2**15 rows, built with no
 Python loop over the rows, and render a cell rows share once (a run's labels, a sweep's x and
-wedge, a JSON branch id).  Number cells come from one ``orjson.dumps`` per column or chunk, as
+wedge).  Number cells come from one ``orjson.dumps`` per column or chunk, as
 ``repr`` (JSON) or ``"%.9g"`` (CSV: first rounded to ``r / 10^p``, ``r = rint(|v| 10^p)``, ``p =
 8 - floor(log10 |v|)``) writes them; Python writes the cells where they may differ: NaN, +-inf,
 exponent form, and CSV rows with a cell near a tie, of ``r`` not 9 digits or an integer.
@@ -183,15 +183,11 @@ def trajectory_csv(ds: TrajectoryDataset, write) -> None:
 
 def trajectory_json(ds: TrajectoryDataset, write) -> None:
     """Event ``i`` shares turning point ``i``'s cells and joins branches ``i`` and ``i + 1``."""
-    tps, b = ds.turning_points, ds.branch_id
+    tps = ds.turning_points
     x, t, top = _json_cells(tps.x), _json_cells(tps.t), tps.maximum.astype(np.intp)
     ids = _json_cells(np.arange(len(tps) + 1))
-    # a built dataset's branch ids index the event id cells; other ids (a hand-made dataset's)
-    # are rendered once per distinct id
-    built = b.dtype.kind in "iu" and 0 <= b.min(initial=0) and b.max(initial=0) <= len(tps)
-    cells, row = (ids, b) if built else np.unique(b, return_inverse=True)
     write_json({"params": params_dict(ds.params), "rows": _Records(
-                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": _json_cells(cells)[row],
+                    {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": ds.branch_id,
                      "direction": _json_cells(_DIRECTIONS)[_direction_index(ds.dtdx)]}),
                 "turning_points": _Records(
                     {"x": x, "t": t, "kind": _json_cells((TEMPORAL_MIN, TEMPORAL_MAX))[top]}),
