@@ -22,11 +22,10 @@ from .action import effective_quantum_mass
 from .entanglon import (_divergence_ratio, _time_parts,  # noqa: F401
                         decompose_time, is_trigger_point)
 from .model import LimitSeries, ModelParams
-from .trajectory import (_DIRECTIONS, ANNIHILATION, CREATION, TEMPORAL_MAX,  # noqa: F401
-                         TEMPORAL_MIN, TurningPoints, _check_range, _direction_index,
-                         _dtdx_array, _time_array, _wedge_edges, find_turning_points,
-                         positions_at_time, time_of_position, turning_points_by_beta,
-                         wedge_bounds)
+from .trajectory import (_DIRECTIONS, _EVENTS, _KINDS, TurningPoints,  # noqa: F401
+                         _check_range, _direction_index, _dtdx_array, _time_array,
+                         _wedge_edges, find_turning_points, positions_at_time,
+                         time_of_position, turning_points_by_beta, wedge_bounds)
 
 _CHUNK_ROWS = 2 ** 15
 _POW10 = np.array([float(10 ** p) for p in range(13)])  # each exact
@@ -189,9 +188,8 @@ def trajectory_json(ds: TrajectoryDataset, write) -> None:
     write_json({"params": params_dict(ds.params), "rows": _Records(
                     {"x": ds.x, "t": ds.t, "dtdx": ds.dtdx, "branch_id": ds.branch_id,
                      "direction": _json_cells(_DIRECTIONS)[_direction_index(ds.dtdx)]}),
-                "turning_points": _Records(
-                    {"x": x, "t": t, "kind": _json_cells((TEMPORAL_MIN, TEMPORAL_MAX))[top]}),
-                "events": _Records({"kind": _json_cells((CREATION, ANNIHILATION))[top],
+                "turning_points": _Records({"x": x, "t": t, "kind": _json_cells(_KINDS)[top]}),
+                "events": _Records({"kind": _json_cells(_EVENTS)[top],
                                     "x": x, "t": t, "branch_ids": [ids[:-1], ids[1:]]})}, write)
 
 

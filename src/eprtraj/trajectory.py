@@ -33,11 +33,10 @@ RETROGRADE = "retrograde"
 TURNING = "turning"
 TEMPORAL_MAX = "temporal_max"
 TEMPORAL_MIN = "temporal_min"
-CREATION = "creation"
-ANNIHILATION = "annihilation"
 
-# The event at a turning point of each kind (see TrajectoryEvent).
-_EVENT_KINDS = {TEMPORAL_MIN: CREATION, TEMPORAL_MAX: ANNIHILATION}
+# A turning point's kind and its event (see TrajectoryEvent), indexed by its ``maximum``.
+_KINDS = (TEMPORAL_MIN, TEMPORAL_MAX)
+_EVENTS = ("creation", "annihilation")
 
 # Indexed by _direction_index: 1 forward, -1 retrograde, 0 turning.
 _DIRECTIONS = (TURNING, FORWARD, RETROGRADE)
@@ -70,11 +69,10 @@ class TurningPoints:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return TurningPoints(self.x[i], self.t[i], self.maximum[i])
-        return TurningPoint(float(self.x[i]), float(self.t[i]),
-                            TEMPORAL_MAX if self.maximum[i] else TEMPORAL_MIN)
+        return TurningPoint(float(self.x[i]), float(self.t[i]), _KINDS[bool(self.maximum[i])])
 
     def __iter__(self):
-        kinds = np.where(self.maximum, TEMPORAL_MAX, TEMPORAL_MIN).tolist()
+        kinds = map(_KINDS.__getitem__, self.maximum.tolist())
         return map(TurningPoint, self.x.tolist(), self.t.tolist(), kinds)
 
 
@@ -372,7 +370,7 @@ def pair_events(turning_points) -> list[TrajectoryEvent]:
     for prev, cur in zip(turning_points, turning_points[1:]):
         if cur.x <= prev.x or cur.kind == prev.kind:
             raise ValueError("turning points must be sorted in x with alternating kinds")
-    return [TrajectoryEvent(kind=_EVENT_KINDS[tp.kind], x=tp.x, t=tp.t, branch_ids=(i, i + 1))
+    return [TrajectoryEvent(_EVENTS[_KINDS.index(tp.kind)], tp.x, tp.t, (i, i + 1))
             for i, tp in enumerate(turning_points)]
 
 
