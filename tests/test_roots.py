@@ -283,7 +283,7 @@ def test_itp_step_bound_and_containment():
 
     xtol = 1e-10
     f_lo = np.array([_mixed(x) for x in lo.tolist()])
-    roots = bisect_root(f, lo, hi, f_lo, xtol=xtol)
+    roots = bisect_root(f, lo, hi, f_lo)
     bisections = math.ceil(math.log2(np.max(hi - lo) / xtol))
     assert len(seen) - 1 <= bisections + 5  # one call per step
     for xs in seen:
@@ -298,11 +298,11 @@ def test_itp_step_bound_and_containment():
 def test_itp_closes_smooth_brackets_early(monkeypatch):
     steps = []
 
-    def counting(f, lo, hi, f_lo, *, xtol=1e-10, seed=np.nan):
+    def counting(f, lo, hi, f_lo, *, seed=np.nan):
         def g(xs):
             steps.append(len(xs))
             return f(xs)
-        return bisect_root(g, lo, hi, f_lo, xtol=xtol, seed=seed)
+        return bisect_root(g, lo, hi, f_lo, seed=seed)
 
     monkeypatch.setattr(trajectory, "bisect_root", counting)
     assert len(find_turning_points(0.0, 20.0, make_params(k=2000.0))) == 25464
@@ -316,11 +316,11 @@ def test_inversion_by_a_tangency_closes_in_six_calls(monkeypatch):
     # at their brackets' midpoints.  Seeded at the midpoint, those brackets took 15 calls.
     calls = []
 
-    def counting(f, lo, hi, f_lo, *, xtol=ROOT_XTOL, seed=np.nan):
+    def counting(f, lo, hi, f_lo, *, seed=np.nan):
         def g(xs):
             calls.append(len(xs))
             return f(xs)
-        return bisect_root(g, lo, hi, f_lo, xtol=xtol, seed=seed)
+        return bisect_root(g, lo, hi, f_lo, seed=seed)
 
     monkeypatch.setattr(trajectory, "bisect_root", counting)
     t, p = 0.002274981319812736, make_params(alpha=0.5197927825179898,
