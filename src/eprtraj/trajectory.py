@@ -223,14 +223,14 @@ def find_turning_points(x_min: float, x_max: float, params: ModelParams) -> Turn
     is monotone between consecutive zeros of the cosine and ``x = 0``: each
     such piece holds at most one turning point, seeded near its centre.
     """
-    return turning_points_by_beta(x_min, x_max, params)[0]
+    return turning_points_by_beta(x_min, x_max, params, [params.beta])[0]
 
 
 def turning_points_by_beta(x_min: float, x_max: float, params: ModelParams,
-                           betas=None) -> list[TurningPoints]:
-    """:func:`find_turning_points` of ``params.replace(beta=b)`` for each ``b`` of ``betas``
-    (of ``params`` alone for None), bit for bit: every curve's brackets share one call."""
-    curves = [params] if betas is None else [params.replace(beta=b) for b in betas]
+                           betas) -> list[TurningPoints]:
+    """:func:`find_turning_points` of ``params.replace(beta=b)`` for each ``b`` of ``betas``,
+    bit for bit: every curve's brackets share one call."""
+    curves = [params.replace(beta=b) for b in betas]
     if not curves:
         raise ValueError("beta list must not be empty")
     p, beta = curves[0], np.array([q.beta for q in curves])
