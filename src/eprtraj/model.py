@@ -140,10 +140,7 @@ def normalize_phase_shift(beta: float) -> float:
     return beta if -math.pi < beta <= math.pi else r - math.tau * ((r > math.pi) - (r <= -math.pi))
 
 
-def validate_params(hbar: float, m: float, alpha: float, beta: float, k: float,
-                    tau: float = 0.0) -> ModelParams:
-    """The :class:`ModelParams` of these raw inputs; raises ValueError as it does."""
-    return ModelParams(hbar, m, alpha, beta, k, tau)
+validate_params = ModelParams  # raw inputs to a checked, derived parameter set: one constructor
 
 
 def particle_positions(x: float, params: ModelParams) -> ParticlePositions:
