@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfiniteVelocityError
 from .model import ModelParams
 from .rootfind import ROOT_XTOL, bisect_root
 from .wavefunction import _slope_factor, amplitude_squared
@@ -40,6 +39,10 @@ _EVENTS = ("creation", "annihilation")
 
 # Indexed by _direction_index: 1 forward, -1 retrograde, 0 turning.
 _DIRECTIONS = (TURNING, FORWARD, RETROGRADE)
+
+
+class InfiniteVelocityError(ArithmeticError):
+    """Mechanical momentum requested at a turning point, where dt/dx = 0."""
 
 
 class TurningPoint(NamedTuple):
