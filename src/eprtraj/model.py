@@ -37,12 +37,12 @@ class ModelParams:
 
     def __post_init__(self):
         hbar, m, alpha, beta, k, inf = self.hbar, self.m, self.alpha, self.beta, self.k, math.inf
-        if not (0.0 < hbar < inf and 0.0 < m < inf and 0.0 < alpha < inf and 0.0 < k < inf
-                and -inf < beta < inf and -inf < self.tau < inf):  # NaN fails too
-            for name, lo in zip(("hbar", "m", "alpha", "k", "beta", "tau"), [0.0] * 4 + [-inf] * 2):
-                if not lo < (value := getattr(self, name)) < inf:  # name the first bad input
-                    kind = "finite" if lo else "positive"
-                    raise ValueError(f"{name} must be {kind}, got {value}")
+        ok = (0.0 < hbar < inf, 0.0 < m < inf, 0.0 < alpha < inf, 0.0 < k < inf,
+              -inf < beta < inf, -inf < self.tau < inf)  # NaN fails too
+        if not all(ok):  # name the first bad input
+            name = ("hbar", "m", "alpha", "k", "beta", "tau")[i := ok.index(False)]
+            kind = "finite" if i > 3 else "positive"
+            raise ValueError(f"{name} must be {kind}, got {getattr(self, name)}")
         one_minus, hk, composite_mass = 1.0 - alpha, hbar * k, m * (1.0 + alpha * alpha)
         energy = hbar * hbar * k * k / (2.0 * composite_mass)
         # m (1 - alpha^2) / (hbar k), factored to stay exact as alpha -> 1
