@@ -1,7 +1,7 @@
 """Command-line interface: datasets, figures and limit/decomposition reports.
 
-Exit codes: 0 on success, 2 on argument/validation errors (a quantity past the
-float range included), 3 on a numerical failure (any ArithmeticError).
+Exit codes: 0 success, 1 output not writable, 2 argument/validation error (a quantity past the
+float range or a build too large for memory included), 3 numerical failure (any ArithmeticError).
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _run(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # a build too large to hold: before --out opens
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -156,7 +156,10 @@ def _sample_grid(x_min: float, x_max: float, samples: int, params: ModelParams,
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
     _check_range(x_min, x_max, params, g=g)
-    return np.linspace(x_min, x_max, samples)
+    try:
+        return np.linspace(x_min, x_max, samples)
+    except (ValueError, MemoryError):  # more samples than an array can index or hold
+        raise ValueError(f"samples = {samples}: too many for an array") from None
 
 
 def build_trajectory_dataset(params: ModelParams, x_min: float, x_max: float,

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -722,6 +723,80 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["M"] == 1.25
+
+
+_NOT_NUMBERS = "must be a comma-separated list of numbers: could not convert string to float"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 10**15 samples are 7.1 PiB, past the 128 TiB user address space of x86-64: the
+    # allocator refuses them at once and no memory is touched
+    *[(argv + ["--samples", str(10 ** 15)], "samples = 1000000000000000: too many for an array")
+      for argv in (["trajectory"], ["sweep", "--betas", "0"], ["decompose"], ["figure", "2"])],
+    (["trajectory", "--samples", "9" * 23], f"samples = {'9' * 23}: too many for an array"),
+    (["sweep", "--betas", "0,abc"], f"--betas {_NOT_NUMBERS}: 'abc'"),
+    (["limit", "--side", "below", "--alphas", "0.9,x", "--x", "1"], f"--alphas {_NOT_NUMBERS}: 'x'"),
+])
+def test_unbuildable_request_exits_2_naming_it(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert run_main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_out_of_memory_in_a_build_exits_2(tmp_path, monkeypatch, capsys):
+    from eprtraj import dataset
+    out = tmp_path / "x.csv"
+    for exc, err in ((MemoryError("Unable to allocate 1.90 GiB"), "Unable to allocate 1.90 GiB"),
+                     (MemoryError(), "out of memory")):
+        def fail(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(dataset, "build_invert_positions", fail)
+        assert run_main(["invert", "--t", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+
+def test_unwritable_output_exits_1(tmp_path, monkeypatch, capsys):
+    # --out in a missing directory: the open fails
+    assert run_main(["params", "--out", str(tmp_path / "missing" / "p.json")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "cannot write output: [Errno 2] No such file or directory")
+    if Path("/dev/full").exists():  # every write fails with ENOSPC
+        assert run_main(["trajectory", "--out", "/dev/full"]) == 1
+        assert capsys.readouterr().err.startswith("cannot write output: [Errno 28]")
+    # a sink that fails on the second of two chunks
+    from eprtraj import cli
+    chunks = []
+
+    def sink(text, handle):
+        if chunks:
+            raise OSError(5, "Input/output error")
+        chunks.append(text)
+
+    monkeypatch.setattr(cli, "_emit", sink)
+    assert run_main(["trajectory", "--samples", str(2 ** 15 + 1)]) == 1
+    assert capsys.readouterr().err == "cannot write output: [Errno 5] Input/output error\n"
+    assert len(chunks) == 1
+
+
+def test_figure_of_constant_time_spans_one_time_unit(capsys):
+    # alpha = 1: c = 0 and every t is tau = 0, so the axis is [0, 1] and every point sits on
+    # its left edge
+    assert run_main(["figure", "1", "--alpha", "1", "--samples", "5"]) == 0
+    svg = capsys.readouterr().out
+    assert "<desc>t-range 0.0 1.0 px 70.0 695.0 ;" in svg
+    points = re.findall(r'points="([^"]*)"', svg)
+    assert len(points) == 2 and {p.split(",")[0] for p in " ".join(points).split()} == {"70.000"}
+
+
+def test_console_entry_point_exit_code():
+    # the __main__ guard passes main's return code to the process
+    proc = subprocess.run([sys.executable, "-m", "eprtraj.cli", "trajectory", "--samples", "1"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: samples must be at least 2, got 1\n"
 
 
 
