@@ -42,13 +42,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; parsing leaves it unchanged."""
+    """The CLI parser, built once per process from ``_COMMANDS``; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     for name, default in (("hbar", 1.0), ("m", 1.0), ("alpha", 0.5), ("beta", 0.0),
                           ("k", math.pi / 2), ("tau", 0.0), ("xmin", 0.0), ("xmax", 4.0)):
         common.add_argument(f"--{name}", type=float, default=default)
     common.add_argument("--samples", type=int, default=2001)
-    common.add_argument("--format", choices=("csv", "json", "svg"), default=None)
     common.add_argument("--out", type=Path, default=None,
                         help="output path (stdout when omitted)")
 
@@ -57,31 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-trajectory datasets and figures for an entangled "
                     "two-particle recoil molecule.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("trajectory", parents=[common],
-                   help="sampled motion with turning points and events")
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="one trajectory per phase shift, wedge appended")
-    sweep.add_argument("--betas", required=True,
-                       help="comma-separated phase shifts")
-    figure = sub.add_parser("figure", parents=[common],
-                            help="render figure 1 or 2 as SVG")
-    figure.add_argument("figure_id", type=int, choices=sorted(FIGURES))
-    figure.add_argument("--markers", action="store_true",
-                        help="draw creation/annihilation markers")
-    sub.add_parser("decompose", parents=[common],
-                   help="particle/entanglon time contributions over the range")
-    limit = sub.add_parser("limit", parents=[common],
-                           help="one-sided alpha -> 1 study at a fixed position")
-    limit.add_argument("--side", choices=("below", "above"), required=True)
-    limit.add_argument("--alphas", required=True,
-                       help="comma-separated alpha sequence")
-    limit.add_argument("--x", type=float, required=True)
-    invert = sub.add_parser("invert", parents=[common],
-                            help="all positions occupied at a fixed time")
-    invert.add_argument("--t", type=float, required=True)
-    sub.add_parser("params", parents=[common],
-                   help="echo the validated parameter set")
+    for name, (help_, arguments, _, writers) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_)
+        for argument, options in arguments.items():
+            command.add_argument(argument, **options)
+        command.add_argument("--format", choices=tuple(writers), default=next(iter(writers)))
     return parser
 
 
@@ -97,30 +76,44 @@ def _figure_data(a: argparse.Namespace, params, betas):
                    else [()] * len(betas))
 
 
-# command: (builder, {format: writer(args, params, data, write)}); the first format
-# is the default.  Names are looked up when a command runs, so wrappers installed
-# after import (as perfbench/tracing.py installs them) see every call.
+# command: (help, {argument: add_argument options}, builder, {format: writer(args, params,
+# data, write)}), the one declaration of a command: its subparser takes the common options,
+# its own arguments and a --format of exactly its writers' formats, the first the default.
+# Names are looked up when a command runs, so wrappers installed after import (as
+# perfbench/tracing.py installs them) see every call.
 _COMMANDS = {
-    "trajectory": (lambda a, p: ds.build_trajectory_dataset(p, a.xmin, a.xmax, a.samples),
+    "trajectory": ("sampled motion with turning points and events", {},
+                   lambda a, p: ds.build_trajectory_dataset(p, a.xmin, a.xmax, a.samples),
                    {"csv": lambda a, p, data, w: ds.trajectory_csv(data, w),
                     "json": lambda a, p, data, w: ds.trajectory_json(data, w)}),
-    "sweep": (lambda a, p: ds.build_sweep_dataset(p, _parse_float_list(a.betas, "--betas"),
+    "sweep": ("one trajectory per phase shift, wedge appended",
+              {"--betas": dict(required=True, help="comma-separated phase shifts")},
+              lambda a, p: ds.build_sweep_dataset(p, _parse_float_list(a.betas, "--betas"),
                                                   a.xmin, a.xmax, a.samples),
               {"csv": lambda a, p, data, w: ds.sweep_csv(data, w),
                "json": lambda a, p, data, w: ds.sweep_json(data, w)}),
-    "figure": (lambda a, p: _figure_data(a, p, FIGURES[a.figure_id][0]),
+    "figure": ("render figure 1 or 2 as SVG",
+               {"figure_id": dict(type=int, choices=sorted(FIGURES)),
+                "--markers": dict(action="store_true", help="draw creation/annihilation markers")},
+               lambda a, p: _figure_data(a, p, FIGURES[a.figure_id][0]),
                {"svg": lambda a, p, data, w: render_figure(a.figure_id, *data, w)}),
-    "decompose": (lambda a, p: ds.build_decompose_rows(p, a.xmin, a.xmax, a.samples),
+    "decompose": ("particle/entanglon time contributions over the range", {},
+                  lambda a, p: ds.build_decompose_rows(p, a.xmin, a.xmax, a.samples),
                   {"csv": lambda a, p, rows, w: ds.decompose_csv(rows, w),
                    "json": lambda a, p, rows, w: ds.decompose_json(p, rows, w)}),
-    "limit": (lambda a, p: ds.build_limit_rows(
-                  p, a.x, _parse_float_list(a.alphas, "--alphas"), a.side),
+    "limit": ("one-sided alpha -> 1 study at a fixed position",
+              {"--side": dict(choices=("below", "above"), required=True),
+               "--alphas": dict(required=True, help="comma-separated alpha sequence"),
+               "--x": dict(type=float, required=True)},
+              lambda a, p: ds.build_limit_rows(p, a.x, _parse_float_list(a.alphas, "--alphas"),
+                                               a.side),
               {"csv": lambda a, p, rows, w: ds.limit_csv(rows, w),
                "json": lambda a, p, rows, w: ds.limit_json(p, a.side, rows, w)}),
-    "invert": (lambda a, p: ds.build_invert_positions(p, a.t, a.xmin, a.xmax),
+    "invert": ("all positions occupied at a fixed time", {"--t": dict(type=float, required=True)},
+               lambda a, p: ds.build_invert_positions(p, a.t, a.xmin, a.xmax),
                {"csv": lambda a, p, xs, w: ds.invert_csv(xs, w),
                 "json": lambda a, p, xs, w: ds.invert_json(p, a.t, xs, w)}),
-    "params": (lambda a, p: ds.params_dict(p),
+    "params": ("echo the validated parameter set", {}, lambda a, p: ds.params_dict(p),
                {"json": lambda a, p, doc, w: ds.write_json(doc, w)}),
 }
 
@@ -129,13 +122,10 @@ def _run(args: argparse.Namespace) -> None:
     """Build (roots included), then stream to ``--out`` or stdout: a failed build makes no file."""
     params = validate_params(args.hbar, args.m, args.alpha, args.beta, args.k,
                              args.tau)
-    build, writers = _COMMANDS[args.command]
-    fmt = args.format or next(iter(writers))
-    if fmt not in writers:
-        raise ValueError(f"{args.command} emits {' or '.join(writers)}, got format {fmt!r}")
+    _, _, build, writers = _COMMANDS[args.command]
     data = build(args, params)
     with (args.out.open("w") if args.out else contextlib.nullcontext(sys.stdout)) as handle:
-        writers[fmt](args, params, data, lambda text: _emit(text, handle))
+        writers[args.format](args, params, data, lambda text: _emit(text, handle))
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,9 +37,8 @@ def fmt9(value: float) -> str:
 
 
 def params_dict(params: ModelParams) -> dict:
-    return {"hbar": params.hbar, "m": params.m, "alpha": params.alpha,
-            "beta": params.beta, "k": params.k, "E": params.E, "M": params.M,
-            "tau": params.tau}
+    """The fields that ``repr`` shows (not the motion coefficient), in declaration order."""
+    return {f.name: getattr(params, f.name) for f in fields(params) if f.repr}
 
 
 def _json_cells(values, redo=None, render=None) -> np.ndarray:

@@ -27,9 +27,6 @@ from .model import ModelParams
 from .rootfind import ROOT_XTOL, bisect_root
 from .wavefunction import _slope_factor, amplitude_squared
 
-FORWARD = "forward"
-RETROGRADE = "retrograde"
-TURNING = "turning"
 TEMPORAL_MAX = "temporal_max"
 TEMPORAL_MIN = "temporal_min"
 
@@ -38,7 +35,7 @@ _KINDS = (TEMPORAL_MIN, TEMPORAL_MAX)
 _EVENTS = ("creation", "annihilation")
 
 # Indexed by _direction_index: 1 forward, -1 retrograde, 0 turning.
-_DIRECTIONS = (TURNING, FORWARD, RETROGRADE)
+_DIRECTIONS = ("turning", "forward", "retrograde")
 
 
 class InfiniteVelocityError(ArithmeticError):
@@ -275,7 +272,7 @@ def segment_trajectory(x_min: float, x_max: float, params: ModelParams) -> list[
     tps = find_turning_points(x_min, x_max, params)
     if len(tps):
         forward = np.append(tps.maximum, not tps.maximum[-1])
-        directions = np.where(forward, FORWARD, RETROGRADE).tolist()
+        directions = np.where(forward, *_DIRECTIONS[1:]).tolist()
     else:
         directions = [_DIRECTIONS[_direction_index(dtdx(0.5 * (x_min + x_max), params))]]
     edges = [x_min, *tps.x.tolist(), x_max]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprtraj import cli
 from eprtraj.cli import main
 from eprtraj.dataset import fmt9
 from conftest import mp_effective_mass, mp_time, mp_turning_point
@@ -611,13 +612,39 @@ def test_params_echo(capsys):
     assert doc["E"] == pytest.approx(math.pi ** 2 / 10, rel=1e-14)
 
 
-def test_argument_errors_exit_2():
+# a small valid argv for each command of cli._COMMANDS
+_COMMAND_ARGV = {"trajectory": [], "sweep": ["--betas", "0,1"], "figure": ["2", "--markers"],
+                 "decompose": [], "limit": ["--side", "below", "--alphas", "0.9", "--x", "1"],
+                 "invert": ["--t", "1"], "params": []}
+
+
+def test_argument_errors_exit_2(tmp_path, capsys):
     assert run_main(["trajectory", "--alpha", "-1"]) == 2
-    assert run_main(["trajectory", "--format", "svg"]) == 2
     assert run_main(["trajectory", "--samples", "1"]) == 2
     assert run_main(["trajectory", "--xmin", "2", "--xmax", "1"]) == 2
-    assert run_main(["figure", "1", "--format", "csv"]) == 2
-    assert run_main(["params", "--format", "csv"]) == 2
+    # every format a command does not write: argparse's own choices, before any build
+    out = tmp_path / "out"
+    for name, (*_, writers) in cli._COMMANDS.items():
+        for fmt in sorted({"csv", "json", "svg"} - set(writers)):
+            capsys.readouterr()
+            argv = [name, *_COMMAND_ARGV[name], "--format", fmt, "--out", str(out)]
+            assert run_main(argv) == 2
+            assert f"argument --format: invalid choice: '{fmt}'" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_command_help_and_default_format(name, tmp_path, capsys):
+    writers = cli._COMMANDS[name][-1]
+    assert run_main([name, "--help"]) == 0
+    choices = re.findall(r"--format \{([^}]*)\}", capsys.readouterr().out)
+    assert choices and set(choices) == {",".join(writers)}
+    outs = {fmt: tmp_path / f"{fmt or 'default'}.out" for fmt in (None, *writers)}
+    for fmt, out in outs.items():
+        argv = [name, *_COMMAND_ARGV[name], "--samples", "5", "--out", str(out)]
+        assert run_main(argv + (["--format", fmt] if fmt else [])) == 0
+    texts = {fmt: out.read_bytes() for fmt, out in outs.items()}
+    assert [fmt for fmt in writers if texts[fmt] == texts[None]] == [next(iter(writers))]
 
 
 @pytest.mark.parametrize("x", ["nan", "inf"])
