@@ -264,10 +264,12 @@ def build_limit_rows(params: ModelParams, x: float, alphas, side: str):
     """Rows (alpha, x, t, m_q, ratio) of the one-sided limit study.
 
     ``ratio`` is the divergence diagnostic (t - tau) / (2mx/(hbar k (1-alpha))); it
-    is only meaningful at trigger points and is None elsewhere.  A ``t`` or
-    ``m_q`` past the float range raises ValueError naming it and its alpha.
+    is only meaningful at trigger points and is None elsewhere.  A phase ``2kx + beta`` past
+    the float range raises ValueError naming it, a ``t`` or ``m_q`` naming it and its alpha.
     """
     def row(x, p):
+        if not math.isfinite(p._two_k * x + p.beta):  # the kernels' math.sin raises on it
+            raise ValueError(f"the phase 2kx + beta overflows at x = {x}")
         t, m_q = time_of_position(x, p), effective_quantum_mass(x, p).m_q
         if not (math.isfinite(t) and math.isfinite(m_q)):
             raise ValueError(f"{'m_q' if math.isfinite(t) else 't'} overflows at alpha = {p.alpha}")

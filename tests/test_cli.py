@@ -654,6 +654,17 @@ def test_limit_non_finite_x_exit_2(x, capsys):
     assert f"x must be finite, got x={float(x)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--alphas", "0.9,0.99", "--x", "1e308"],
+                                  ["--alphas", "0.9", "--x", "1e154", "--k", "1e154"]])
+def test_limit_phase_overflow_exit_2(argv, tmp_path, capsys):
+    # the phase 2kx + beta is inf while x is finite: named, not math.sin's "math domain error"
+    out = tmp_path / "limit.csv"
+    assert run_main(["limit", "--side", "below", *argv, "--out", str(out)]) == 2
+    x = float(argv[argv.index("--x") + 1])
+    assert capsys.readouterr().err == f"error: the phase 2kx + beta overflows at x = {x}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spaced, joined", [
     (["limit", "--side", "above", "--alphas", "1.1", "--x", "-1e-3"],
      ["limit", "--side", "above", "--alphas", "1.1", "--x=-1e-3"]),
